@@ -20,8 +20,7 @@ from .config import Config, read_synth_spec
 from .engine import ClusterResult, lcuts
 from .errors import InputError, LcutsError
 from .geometry import Node, PointCloud, read_cloud_csv, write_cloud_csv
-from .graph import build_adjacency, write_adjacency_csv
-from .direction import assign_all_directions
+from .graph import write_adjacency_csv
 from .metrics import evaluate
 from .pipeline import extract_nodes
 from .raster import bilinear_sample, read_image, write_pgm
@@ -98,8 +97,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         cloud = PointCloud(nodes, cloud.dim, image=img)
     result = lcuts(cloud, cfg.graph, cfg.voting, cfg.limits)
     if args.dump_adjacency:
-        with_dirs = assign_all_directions(cloud, cfg.voting)
-        write_adjacency_csv(args.dump_adjacency, build_adjacency(with_dirs, cfg.graph))
+        write_adjacency_csv(args.dump_adjacency, result.graph)
     Path(args.out).write_text(_result_json(result, cloud, cfg), encoding="utf-8")
     if not args.quiet:
         log.info("clustered %d nodes into %d groups (%d outliers)",

@@ -14,9 +14,10 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .errors import InputError
-from .geometry import Node, PointCloud
+from .geometry import Node, PointCloud, radius_pairs
 
 log = logging.getLogger(__name__)
 
@@ -52,27 +53,25 @@ class Neighborhood:
     members: frozenset[int]
 
 
-def _radius_adjacency(locs: np.ndarray, radius: float) -> np.ndarray:
-    diff = locs[:, None, :] - locs[None, :, :]
-    d2 = (diff * diff).sum(axis=-1)
-    adj = d2 <= radius * radius
-    np.fill_diagonal(adj, False)
-    return adj
-
-
-def _bfs_members(adj: np.ndarray, start: int, hops: int) -> set[int]:
-    visited = np.zeros(adj.shape[0], dtype=bool)
-    visited[start] = True
-    frontier = np.array([start])
-    members: set[int] = set()
-    for _ in range(hops):
-        if frontier.size == 0:
+def _hop_reach(locs: np.ndarray, params: VotingParams) -> sparse.csr_matrix:
+    """Boolean matrix whose row i marks every node reachable from node i in at
+    most ``hops`` steps of length <= ``hop_radius``, node i itself included."""
+    n = len(locs)
+    ii, jj, d2 = radius_pairs(locs, params.hop_radius)
+    near = d2 <= params.hop_radius * params.hop_radius
+    adj = sparse.coo_matrix((near[near], (ii[near], jj[near])), shape=(n, n))
+    reach = step = (adj + adj.T + sparse.identity(n, dtype=bool)).tocsr()
+    for _ in range(params.hops - 1):
+        grown = reach @ step
+        if grown.nnz == reach.nnz:
             break
-        reach = adj[frontier].any(axis=0) & ~visited
-        frontier = np.nonzero(reach)[0]
-        visited |= reach
-        members.update(frontier.tolist())
-    return members
+        reach = grown
+    return reach
+
+
+def _members(reach: sparse.csr_matrix, center: int) -> list[int]:
+    row = reach.indices[reach.indptr[center]:reach.indptr[center + 1]]
+    return row[row != center].tolist()
 
 
 def hop_neighborhood(cloud: PointCloud, center: int, params: VotingParams) -> Neighborhood:
@@ -80,8 +79,7 @@ def hop_neighborhood(cloud: PointCloud, center: int, params: VotingParams) -> Ne
     <= ``hop_radius`` each; the center itself is excluded."""
     if not 0 <= center < len(cloud):
         raise InputError(f"center id {center} out of range")
-    adj = _radius_adjacency(cloud.locs(), params.hop_radius)
-    return Neighborhood(center, frozenset(_bfs_members(adj, center, params.hops)))
+    return Neighborhood(center, frozenset(_members(_hop_reach(cloud.locs(), params), center)))
 
 
 def _vote(locs: np.ndarray, center: int, members: list[int], n_bins: int) -> np.ndarray | None:
@@ -141,11 +139,11 @@ def assign_all_directions(cloud: PointCloud, params: VotingParams) -> PointCloud
     if not cloud.nodes:
         return cloud
     locs = cloud.locs()
-    adj = _radius_adjacency(locs, params.hop_radius)
+    reach = _hop_reach(locs, params)
     nodes: list[Node] = []
     unassigned = 0
     for node in cloud.nodes:
-        members = _location_order(locs, sorted(_bfs_members(adj, node.id, params.hops)))
+        members = _location_order(locs, _members(reach, node.id))
         direction = _vote(locs, node.id, members, params.rel_bins) if members else None
         if direction is None:
             unassigned += 1

@@ -1,16 +1,23 @@
 """Recursive clustering: split by normalized cuts until groups look like lines.
 
-Each component is either accepted as a group, declared outlier noise, or
+Each candidate group is either accepted, declared outlier noise, or
 bipartitioned and recursed into. Acceptance requires a small orthogonal
 residual, a high eccentricity (skipped for tiny groups), and, when an image
 is bound, no intensity valley between consecutive nodes along the axis.
-Components that are too long to be a single object are always split first.
+Groups that are too long to be a single object are always split first.
+
+The affinity is zero beyond ``r``, so the graph falls apart into connected
+components, found once for the cloud and once per side of a spectral split.
+Dead nodes are the singleton components, a group of several components is
+split by peeling whole ones off, and only a connected group is restricted to
+a dense block for the Fiedler sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -18,7 +25,7 @@ from .direction import VotingParams, assign_all_directions
 from .errors import InputError
 from .geometry import LineFit, Node, PointCloud, fit_line
 from .graph import GraphParams, WeightedGraph, build_adjacency, intensity_threshold, segment_min_intensity
-from .spectral import ncut_bipartition
+from .spectral import components, ncut_bipartition, peel
 
 
 @dataclass(frozen=True)
@@ -80,6 +87,7 @@ class ClusterResult:
     per_group: list[LineFit | None]    # aligned with groups; None for 1-node groups
     forced: list[bool]                 # aligned with groups: accepted with a warning
     tree: TreeNode | None
+    graph: WeightedGraph               # the affinity matrix the clustering used
 
     def group_sets(self) -> list[set[int]]:
         return [set(g) for g in self.groups]
@@ -128,16 +136,17 @@ def lcuts(cloud: PointCloud, gparams: GraphParams | None = None,
           limits: StoppingLimits | None = None) -> ClusterResult:
     """Cluster a point cloud into approximately collinear groups.
 
-    Directions are estimated once, the affinity matrix is built once, and the
-    recursion then only restricts that matrix to sub-components. Zero-degree
-    nodes of a component are stripped to outliers before any split.
+    Directions are estimated once and the affinity matrix is built once.
+    Zero-degree nodes of a group are stripped to outliers before any split;
+    the recursion restricts the matrix only for a spectral split. The result
+    carries that matrix, in the caller's node order.
     """
     gparams = gparams or GraphParams()
     vparams = vparams or VotingParams()
     limits = limits or StoppingLimits()
 
     if len(cloud) == 0:
-        return ClusterResult([], [], [], [], None)
+        return ClusterResult([], [], [], [], None, WeightedGraph(np.zeros((0, 0))))
 
     # Work in location-sorted order: ties and rounding then resolve the same
     # way no matter how the caller happened to label the nodes.
@@ -153,50 +162,52 @@ def lcuts(cloud: PointCloud, gparams: GraphParams | None = None,
     thresh: float | None = None
     if work.image is not None and work.has_all_intensities():
         thresh = intensity_threshold(work)
-    graph = build_adjacency(work, gparams, thresh=thresh)
-    w = graph.weights
+    w = build_adjacency(work, gparams, thresh=thresh).weights
 
     groups: list[list[int]] = []
     forced_flags: list[bool] = []
     outliers: list[int] = []
     root = TreeNode(ids=list(range(len(work))))
-    stack = [root]
+    # Each entry carries the connected components of its node's ids.
+    stack = [(root, components(w))]
     while stack:
-        node = stack.pop()
+        node, comps = stack.pop()
         ids = node.ids
-        idx = np.asarray(ids, dtype=np.int64)
-        sub = w[np.ix_(idx, idx)]
-        if len(ids) > 1:
-            dead = np.nonzero(sub.sum(axis=1) == 0.0)[0]
-            if dead.size:
-                stripped = [ids[k] for k in dead.tolist()]
-                node.decision = "strip"
-                node.stripped = stripped
-                outliers.extend(stripped)
-                rest = sorted(set(ids) - set(stripped))
-                if rest:
-                    child = TreeNode(ids=rest)
-                    node.children.append(child)
-                    stack.append(child)
-                continue
-
-        chk = check_stopping(work, ids, limits, thresh=thresh,
-                             sampling_step=gparams.intensity_sampling_step)
-        node.decision = chk.decision.value
-        node.forced = chk.forced
-        if chk.decision is Decision.ACCEPT:
-            groups.append(ids)
-            forced_flags.append(chk.forced)
-        elif chk.decision is Decision.OUTLIER:
-            outliers.extend(ids)
+        # Zero-degree nodes are exactly the singleton components.
+        stripped = [c[0] for c in comps if len(c) == 1] if len(ids) > 1 else []
+        if stripped:
+            node.decision = "strip"
+            node.stripped = stripped
+            outliers.extend(stripped)
+            live = [c for c in comps if len(c) > 1]
+            sides = [live] if live else []
         else:
-            part = ncut_bipartition(WeightedGraph(sub))
-            node.ncut = part.ncut
-            side_a = sorted(ids[k] for k in part.group_a)
-            side_b = sorted(ids[k] for k in part.group_b)
-            kids = [TreeNode(ids=side_a), TreeNode(ids=side_b)]
-            node.children.extend(kids)
-            stack.extend(reversed(kids))
+            chk = check_stopping(work, ids, limits, thresh=thresh,
+                                 sampling_step=gparams.intensity_sampling_step)
+            node.decision = chk.decision.value
+            node.forced = chk.forced
+            if chk.decision is Decision.ACCEPT:
+                groups.append(ids)
+                forced_flags.append(chk.forced)
+                continue
+            if chk.decision is Decision.OUTLIER:
+                outliers.extend(ids)
+                continue
+            if len(comps) > 1:
+                # A union of whole components splits off with ncut 0.
+                node.ncut = 0.0
+                sides = peel(comps)
+            else:
+                sub = w[np.ix_(ids, ids)]
+                part = ncut_bipartition(WeightedGraph(sub))
+                node.ncut = part.ncut
+                sides = []
+                for half in (sorted(part.group_a), sorted(part.group_b)):
+                    half_comps = components(sub[np.ix_(half, half)])
+                    sides.append([[ids[half[k]] for k in c] for c in half_comps])
+        kids = [TreeNode(ids=sorted(chain(*side))) for side in sides]
+        node.children.extend(kids)
+        stack.extend(reversed(list(zip(kids, sides))))
 
     # translate back to the caller's node ids
     groups = [sorted(back[k] for k in g) for g in groups]
@@ -205,13 +216,13 @@ def lcuts(cloud: PointCloud, gparams: GraphParams | None = None,
     while walk:
         node = walk.pop()
         node.ids = sorted(back[k] for k in node.ids)
-        if node.stripped:
-            node.stripped = sorted(back[k] for k in node.stripped)
+        node.stripped = sorted(back[k] for k in node.stripped)
         walk.extend(node.children)
 
-    order = np.argsort([g[0] for g in groups]) if groups else []
-    groups = [groups[i] for i in order]
-    forced_flags = [forced_flags[i] for i in order]
+    ordered = sorted(zip(groups, forced_flags))  # groups are disjoint: by smallest member
+    groups, forced_flags = [g for g, _ in ordered], [f for _, f in ordered]
     locs = cloud.locs()
     fits: list[LineFit | None] = [fit_line(locs[g]) if len(g) >= 2 else None for g in groups]
-    return ClusterResult(groups, sorted(outliers), fits, forced_flags, root)
+    rank = np.argsort(back)  # caller id -> working id
+    return ClusterResult(groups, sorted(outliers), fits, forced_flags, root,
+                         WeightedGraph(w[np.ix_(rank, rank)]))

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import DegenerateInputError, DimensionMismatchError, InputError
 from .raster import RasterImage
@@ -80,15 +81,15 @@ class PointCloud:
             seen.add(key)
         if self.image is not None and self.dim != 2:
             raise DimensionMismatchError("only 2-D clouds can bind an image")
+        self._locs = np.stack([n.loc for n in self.nodes]) if self.nodes else np.zeros((0, self.dim))
+        self._locs.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.nodes)
 
     def locs(self) -> np.ndarray:
-        """All locations as an (N, dim) array."""
-        if not self.nodes:
-            return np.zeros((0, self.dim))
-        return np.stack([n.loc for n in self.nodes])
+        """All locations as a read-only (N, dim) array, stacked once at construction."""
+        return self._locs
 
     def intensities(self) -> list[float | None]:
         return [n.intensity for n in self.nodes]
@@ -189,6 +190,15 @@ def pairwise_distance(a, b) -> float:
     # coordinate-ordered sum, not BLAS norm: keeps the scalar route bit-equal
     # to the batched distance matrix
     return float(np.sqrt((diff * diff).sum()))
+
+
+def radius_pairs(locs: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pairs ``i < j`` within ``radius`` padded by 1e-9 relative, and their
+    squared distances; callers apply their own exact cutoff to these."""
+    pairs = cKDTree(locs).query_pairs(radius * (1.0 + 1e-9), output_type="ndarray")
+    ii, jj = pairs[:, 0], pairs[:, 1]
+    diff = locs[ii] - locs[jj]
+    return ii, jj, (diff * diff).sum(axis=-1)
 
 
 # ----------------------------------------------------------------------------

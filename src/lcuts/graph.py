@@ -10,6 +10,11 @@ The affinity between two nodes is the product of three terms:
 A missing direction on either endpoint, or a missing image, turns the
 corresponding factor into 1. The intensity threshold is the midrange of the
 node intensities minus their population variance.
+
+Only pairs within ``r`` can have a nonzero weight, so ``build_adjacency``
+finds them with a k-d tree, evaluates the three factors per pair, and
+scatters the products into a dense symmetric matrix. The scalar factor
+functions compute the same values one pair at a time.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateInputError, InputError, MissingDataError
-from .geometry import PointCloud
+from .geometry import PointCloud, radius_pairs
 from .raster import RasterImage, bilinear_sample
 
 
@@ -124,17 +129,11 @@ def weight_intensity(cloud: PointCloud, i: int, j: int, thresh: float,
     return m if m <= thresh else 1.0
 
 
-def _intensity_factor(cloud: PointCloud, dist: np.ndarray, active: np.ndarray,
+def _intensity_factor(cloud: PointCloud, ii: np.ndarray, jj: np.ndarray, dist: np.ndarray,
                       thresh: float, step: float) -> np.ndarray:
-    """Vectorized intensity factor for all active (i < j) pairs."""
-    n = len(cloud)
-    out = np.ones((n, n))
-    ii, jj = np.nonzero(np.triu(active, 1))
-    if ii.size == 0:
-        return out
+    """Vectorized intensity factor for the pairs (ii, jj), ii < jj, at distances ``dist``."""
     locs = cloud.locs()
-    d_pairs = dist[ii, jj]
-    counts = np.maximum(2, np.ceil(d_pairs / step).astype(np.int64) + 1)
+    counts = np.maximum(2, np.ceil(dist / step).astype(np.int64) + 1)
     factors = np.ones(ii.size)
     for count in np.unique(counts):
         sel = np.nonzero(counts == count)[0]
@@ -145,9 +144,7 @@ def _intensity_factor(cloud: PointCloud, dist: np.ndarray, active: np.ndarray,
         vals = bilinear_sample(cloud.image, pts[..., 0].ravel(), pts[..., 1].ravel())
         mins = vals.reshape(len(sel), int(count)).min(axis=1)
         factors[sel] = np.where(mins <= thresh, mins, 1.0)
-    out[ii, jj] = factors
-    out[jj, ii] = factors
-    return out
+    return factors
 
 
 def build_adjacency(cloud: PointCloud, params: GraphParams,
@@ -159,12 +156,11 @@ def build_adjacency(cloud: PointCloud, params: GraphParams,
     computed elsewhere, otherwise it is derived here.
     """
     n = len(cloud)
-    if n == 0:
-        return WeightedGraph(np.zeros((0, 0)))
-    locs = cloud.locs()
-    diff = locs[:, None, :] - locs[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=-1))
-    wd = np.where(dist <= params.r, np.exp(-(dist ** 2) / params.sigma_d ** 2), 0.0)
+    ii, jj, d2 = radius_pairs(cloud.locs(), params.r)
+    dist = np.sqrt(d2)
+    near = dist <= params.r
+    ii, jj, dist = ii[near], jj[near], dist[near]
+    wd = np.exp(-(dist ** 2) / params.sigma_d ** 2)
 
     dirs = np.zeros((n, cloud.dim))
     present = np.zeros(n, dtype=bool)
@@ -172,25 +168,23 @@ def build_adjacency(cloud: PointCloud, params: GraphParams,
         if node.dir is not None:
             dirs[node.id] = node.dir
             present[node.id] = True
-    # Sum of per-coordinate outer products: each term is elementwise
-    # commutative, so the dot matrix comes out exactly symmetric.
-    dots = np.zeros((n, n))
+    # Coordinate-ordered accumulation from 0.0, as in weight_direction.
+    dots = np.zeros(ii.size)
     for k in range(cloud.dim):
-        dots += np.multiply.outer(dirs[:, k], dirs[:, k])
+        dots += dirs[ii, k] * dirs[jj, k]
     cos = np.clip(np.abs(dots), 0.0, 1.0)
     wt_raw = np.exp(-((cos - 1.0) ** 2) / params.sigma_t ** 2)
-    both = np.logical_and.outer(present, present)
-    wt = np.where(both, wt_raw, 1.0)
+    wt = np.where(present[ii] & present[jj], wt_raw, 1.0)
 
     if cloud.image is not None and cloud.has_all_intensities():
         if thresh is None:
             thresh = intensity_threshold(cloud)
-        wi = _intensity_factor(cloud, dist, wd > 0.0, thresh, params.intensity_sampling_step)
+        wi = _intensity_factor(cloud, ii, jj, dist, thresh, params.intensity_sampling_step)
     else:
-        wi = np.ones((n, n))
+        wi = 1.0
 
-    w = wd * wt * wi
-    np.fill_diagonal(w, 0.0)
+    w = np.zeros((n, n))
+    w[ii, jj] = w[jj, ii] = wd * wt * wi
     return WeightedGraph(w)
 
 

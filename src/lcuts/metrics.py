@@ -70,11 +70,11 @@ def match_clusters(pred, truth) -> list[tuple[int, int, int]]:
     pairs with zero overlap are not reported. Both clusterings must cover the
     same id universe.
     """
-    pred = _check_clustering(pred, "pred")
-    truth = _check_clustering(truth, "truth")
-    pred_universe = set().union(*pred) if pred else set()
-    truth_universe = set().union(*truth) if truth else set()
-    if pred_universe != truth_universe:
+    return _match(_check_clustering(pred, "pred"), _check_clustering(truth, "truth"))
+
+
+def _match(pred: list[set[int]], truth: list[set[int]]) -> list[tuple[int, int, int]]:
+    if set().union(*pred) != set().union(*truth):
         raise InputError("pred and truth must cover the same node ids")
     if not pred or not truth:
         return []
@@ -94,15 +94,8 @@ def match_clusters(pred, truth) -> list[tuple[int, int, int]]:
 
 def grouping_accuracy(pred, truth) -> tuple[float, int, int, int]:
     """Node-level Dice: (gacc, tp, fp, fn)."""
-    pred_sets = _check_clustering(pred, "pred")
-    truth_sets = _check_clustering(truth, "truth")
-    matches = match_clusters(pred, truth)
-    tp = sum(ov for _, _, ov in matches)
-    total_pred = sum(len(g) for g in pred_sets)
-    total_truth = sum(len(g) for g in truth_sets)
-    fp = total_pred - tp
-    fn = total_truth - tp
-    return dice(tp, fp, fn), tp, fp, fn
+    report = evaluate(pred, truth)
+    return report.gacc, report.node_tp, report.node_fp, report.node_fn
 
 
 def counting_accuracy(pred, truth, overlap_frac: float = 0.5) -> tuple[float, int, int, int]:
@@ -111,28 +104,31 @@ def counting_accuracy(pred, truth, overlap_frac: float = 0.5) -> tuple[float, in
     A matched pair counts as TP when its overlap reaches ``overlap_frac`` of
     the larger of the two groups; everything else on either side is an error.
     """
-    if not 0.0 < overlap_frac <= 1.0:
-        raise InputError(f"overlapFrac must be in (0, 1], got {overlap_frac}")
-    pred_sets = _check_clustering(pred, "pred")
-    truth_sets = _check_clustering(truth, "truth")
-    matches = match_clusters(pred, truth)
-    tp = 0
-    for i, j, ov in matches:
-        if ov >= overlap_frac * max(len(pred_sets[i]), len(truth_sets[j])):
-            tp += 1
-    fp = len(pred_sets) - tp
-    fn = len(truth_sets) - tp
-    return dice(tp, fp, fn), tp, fp, fn
+    report = evaluate(pred, truth, overlap_frac)
+    return report.cacc, report.cluster_tp, report.cluster_fp, report.cluster_fn
 
 
 def evaluate(pred, truth, overlap_frac: float = 0.5) -> EvalReport:
-    """Full report: matching, grouping accuracy, counting accuracy."""
-    matches = match_clusters(pred, truth)
-    gacc, ntp, nfp, nfn = grouping_accuracy(pred, truth)
-    cacc, ctp, cfp, cfn = counting_accuracy(pred, truth, overlap_frac)
+    """Full report: matching, grouping accuracy, counting accuracy.
+
+    Both clusterings are validated and matched once; the two accuracies are
+    read off the same matching.
+    """
+    pred_sets = _check_clustering(pred, "pred")
+    truth_sets = _check_clustering(truth, "truth")
+    matches = _match(pred_sets, truth_sets)
+    if not 0.0 < overlap_frac <= 1.0:
+        raise InputError(f"overlapFrac must be in (0, 1], got {overlap_frac}")
+    node_tp = sum(ov for _, _, ov in matches)
+    node_fp = sum(len(g) for g in pred_sets) - node_tp
+    node_fn = sum(len(g) for g in truth_sets) - node_tp
+    cluster_tp = sum(1 for i, j, ov in matches
+                     if ov >= overlap_frac * max(len(pred_sets[i]), len(truth_sets[j])))
+    cluster_fp = len(pred_sets) - cluster_tp
+    cluster_fn = len(truth_sets) - cluster_tp
     return EvalReport(
-        gacc=gacc, cacc=cacc,
-        node_tp=ntp, node_fp=nfp, node_fn=nfn,
-        cluster_tp=ctp, cluster_fp=cfp, cluster_fn=cfn,
+        gacc=dice(node_tp, node_fp, node_fn), cacc=dice(cluster_tp, cluster_fp, cluster_fn),
+        node_tp=node_tp, node_fp=node_fp, node_fn=node_fn,
+        cluster_tp=cluster_tp, cluster_fp=cluster_fp, cluster_fn=cluster_fn,
         matches=matches, overlap_frac=overlap_frac,
     )

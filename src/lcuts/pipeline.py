@@ -16,7 +16,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import InputError
-from .geometry import Node, PointCloud
+from .geometry import Node, PointCloud, radius_pairs
 from .raster import RasterImage, bilinear_sample
 
 
@@ -116,13 +116,10 @@ def prune_nodes(points: list[np.ndarray], img: RasterImage, params: PipelinePara
             kept.append(idx)
     survivors = pts[kept]
     sval = vals[kept]
-    if len(survivors) > 1:
-        diff = survivors[:, None, :] - survivors[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=-1))
-        np.fill_diagonal(dist, np.inf)
-        lonely = dist.min(axis=1) > params.min_neighbor_dist
-    else:
-        lonely = np.ones(len(survivors), dtype=bool)
+    ii, jj, d2 = radius_pairs(survivors, params.min_neighbor_dist)
+    near = np.sqrt(d2) <= params.min_neighbor_dist
+    lonely = np.ones(len(survivors), dtype=bool)
+    lonely[ii[near]] = lonely[jj[near]] = False
     survivors = survivors[~lonely]
     sval = sval[~lonely]
     order = np.lexsort((survivors[:, 0], survivors[:, 1]))

@@ -4,15 +4,21 @@ The relaxation follows the classic recipe: eigenvector of the second-smallest
 eigenvalue of the symmetric normalized Laplacian, mapped back through
 D^(-1/2), then an exhaustive sweep over the n-1 thresholds between
 consecutive sorted entries picks the split with the smallest true Ncut.
-A dense solver is used throughout; the graphs are small (hundreds to a few
-thousand nodes) and dense eigensolvers need no convergence tuning.
+A graph with several connected components has an Ncut of 0 between any
+union of components and the rest; ``components`` finds them and ``peel``
+fixes which union splits off first. The Fiedler sweep runs on one connected
+component at a time, with a dense solver: those blocks are small (hundreds
+to a few thousand nodes) and dense eigensolvers need no convergence tuning.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from .errors import DegenerateInputError, InputError
 from .graph import WeightedGraph
@@ -63,32 +69,23 @@ def smallest_eigenpairs(matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     return vals[:k], vecs[:, :k]
 
 
-def _components(w: np.ndarray) -> list[list[int]]:
-    """Connected components of the nonzero-weight graph, each sorted, ordered
-    by their smallest member."""
-    n = w.shape[0]
-    adj = w > 0.0
-    seen = np.zeros(n, dtype=bool)
-    comps: list[list[int]] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        frontier = np.array([start])
-        comp = [start]
-        while frontier.size:
-            reach = adj[frontier].any(axis=0) & ~seen
-            frontier = np.nonzero(reach)[0]
-            seen |= reach
-            comp.extend(frontier.tolist())
-        comps.append(sorted(comp))
+def components(w) -> list[list[int]]:
+    """Connected components of the nonzero-weight graph of a dense weight
+    matrix, each sorted, ordered by their smallest member."""
+    _, labels = connected_components(sparse.csr_matrix(w), directed=False)
+    members = np.argsort(labels, kind="stable")
+    comps = [c.tolist() for c in np.split(members, np.cumsum(np.bincount(labels))[:-1])]
+    comps.sort(key=lambda c: c[0])
     return comps
 
 
-def _canonical(split_a: list[int], split_b: list[int]) -> tuple[frozenset[int], frozenset[int]]:
-    if min(split_a) < min(split_b):
-        return frozenset(split_a), frozenset(split_b)
-    return frozenset(split_b), frozenset(split_a)
+def peel(comps: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """Split components, ordered by smallest member, into the smallest one
+    (by size, then smallest id) and the rest; the side holding the smallest
+    id comes first."""
+    k = min(range(len(comps)), key=lambda i: (len(comps[i]), comps[i][0]))
+    rest = comps[:k] + comps[k + 1:]
+    return ([comps[k]], rest) if k == 0 else (rest, [comps[k]])
 
 
 def ncut_bipartition(graph: WeightedGraph) -> Bipartition:
@@ -103,12 +100,10 @@ def ncut_bipartition(graph: WeightedGraph) -> Bipartition:
     if n < 2:
         raise DegenerateInputError("need at least 2 nodes to bipartition")
     w = graph.weights
-    comps = _components(w)
+    comps = components(w)
     if len(comps) > 1:
-        smallest = min(comps, key=lambda c: (len(c), c[0]))
-        rest = sorted(i for i in range(n) if i not in set(smallest))
-        a, b = _canonical(smallest, rest)
-        return Bipartition(a, b, 0.0)
+        a, b = peel(comps)
+        return Bipartition(frozenset(chain(*a)), frozenset(chain(*b)), 0.0)
 
     # Connected with >= 2 nodes, so every degree is positive.
     deg = w.sum(axis=1)
@@ -147,5 +142,7 @@ def ncut_bipartition(graph: WeightedGraph) -> Bipartition:
         ranked.sort()
         k = ranked[0][2]
 
-    a, b = _canonical(sorted(order[: k + 1].tolist()), sorted(order[k + 1 :].tolist()))
+    a, b = frozenset(order[: k + 1].tolist()), frozenset(order[k + 1 :].tolist())
+    if min(b) < min(a):
+        a, b = b, a
     return Bipartition(a, b, ncut_value(graph, a, b))

@@ -104,6 +104,25 @@ def test_cluster_dump_adjacency(tmp_path):
     assert np.array_equal(w, w.T)
 
 
+def test_dump_adjacency_is_the_clustered_matrix(tmp_path):
+    from lcuts.engine import lcuts
+    from lcuts.geometry import read_cloud_csv
+    from lcuts.raster import read_image
+
+    spec = tmp_path / "spec.cfg"
+    write_spec(spec, dim=2, nRods=12, crossings=3, intensityValley=0.7, seed=4)
+    run_cli("synth", spec, tmp_path / "img")
+    assert run_cli("--quiet", "extract", tmp_path / "img.pgm", tmp_path / "found.csv").returncode == 0
+    res = run_cli("--quiet", "--dump-adjacency", tmp_path / "w.csv", "cluster",
+                  tmp_path / "found.csv", tmp_path / "out.json", "--image", tmp_path / "img.pgm")
+    assert res.returncode == 0
+    cloud, _ = read_cloud_csv(tmp_path / "found.csv")
+    used = lcuts(cloud.with_image(read_image(tmp_path / "img.pgm"))).graph.weights
+    dumped = np.array([[float(v) for v in line.split(",")]
+                       for line in (tmp_path / "w.csv").read_text().splitlines()])
+    assert np.array_equal(dumped, used)
+
+
 def test_evaluate_perfect(tmp_path):
     spec = tmp_path / "spec.cfg"
     write_spec(spec, dim=2, nRods=3, seed=2)

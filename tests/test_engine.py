@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
+from lcuts.direction import VotingParams, assign_all_directions
 from lcuts.engine import Decision, StoppingLimits, check_stopping, lcuts
 from lcuts.errors import InputError
 from lcuts.geometry import Node, PointCloud
+from lcuts.graph import GraphParams, WeightedGraph, build_adjacency, intensity_threshold
 from lcuts.metrics import evaluate
 from lcuts.raster import RasterImage
+from lcuts.spectral import ncut_bipartition
 from lcuts.synth import SynthSpec, generate_cloud, generate_image
+from test_acceptance import fuzz_cloud
 
 
 def make_cloud(pts, dim=2, image=None, intensities=None):
@@ -162,3 +166,90 @@ def test_stopping_limits_validation():
         StoppingLimits(std_limit=-1.0)
     with pytest.raises(InputError):
         StoppingLimits(min_group_size=0)
+
+
+def reference_lcuts(cloud):
+    """The restrict-and-split recursion written plainly, on default parameters:
+    restrict the dense matrix to the group, strip its zero rows, check the
+    stop rules, then bipartition. Returns (tree dict, groups, outliers, forced,
+    matrix), all in the caller's node ids."""
+    gparams, limits = GraphParams(), StoppingLimits()
+    back = np.lexsort(cloud.locs().T[::-1]).tolist()
+    work = PointCloud([Node(id=k, loc=cloud.nodes[i].loc, intensity=cloud.nodes[i].intensity)
+                       for k, i in enumerate(back)], cloud.dim, image=cloud.image)
+    work = assign_all_directions(work, VotingParams())
+    thresh = None
+    if work.image is not None and work.has_all_intensities():
+        thresh = intensity_threshold(work)
+    w = build_adjacency(work, gparams, thresh=thresh).weights
+    groups, outliers = [], []
+
+    def caller(ids):
+        return sorted(back[k] for k in ids)
+
+    def record(ids, decision, ncut=None, forced=False, stripped=(), children=()):
+        return {"ids": caller(ids), "decision": decision, "ncut": ncut, "forced": forced,
+                "stripped": caller(stripped), "children": list(children)}
+
+    def visit(ids):
+        sub = w[np.ix_(ids, ids)]
+        if len(ids) > 1:
+            dead = [ids[k] for k in np.nonzero(sub.sum(axis=1) == 0.0)[0]]
+            if dead:
+                outliers.extend(dead)
+                rest = [i for i in ids if i not in dead]
+                return record(ids, "strip", stripped=dead, children=[visit(rest)] if rest else [])
+        chk = check_stopping(work, ids, limits, thresh=thresh,
+                             sampling_step=gparams.intensity_sampling_step)
+        if chk.decision is Decision.ACCEPT:
+            groups.append((caller(ids), chk.forced))
+            return record(ids, "accept", forced=chk.forced)
+        if chk.decision is Decision.OUTLIER:
+            outliers.extend(ids)
+            return record(ids, "outlier")
+        part = ncut_bipartition(WeightedGraph(sub))
+        kids = [visit(sorted(ids[k] for k in side)) for side in (part.group_a, part.group_b)]
+        return record(ids, "recurse", ncut=part.ncut, children=kids)
+
+    tree = visit(list(range(len(work))))
+    groups.sort()
+    rank = np.argsort(back)
+    return (tree, [g for g, _ in groups], caller(outliers), [f for _, f in groups],
+            w[np.ix_(rank, rank)])
+
+
+def assert_matches_reference(cloud):
+    tree, groups, outliers, forced, w = reference_lcuts(cloud)
+    res = lcuts(cloud)
+    assert res.tree.to_dict() == tree
+    assert res.groups == groups
+    assert res.outliers == outliers
+    assert res.forced == forced
+    assert np.array_equal(res.graph.weights, w)
+
+
+def test_recursion_matches_reference_on_fuzz_corpus():
+    # Replays criterion 09's corpus draw for draw and checks one cloud in
+    # five, rotating through the five kinds of cloud.
+    rng = np.random.default_rng(3)
+    for t in range(500):
+        cloud = fuzz_cloud(t, rng)
+        if t % 10 == 0 and len(cloud) > 1:
+            rng.permutation(len(cloud))
+        if t % 5 == (t // 5) % 5 and len(cloud):
+            assert_matches_reference(cloud)
+
+
+def test_recursion_matches_reference_on_fields():
+    cloud2, _ = generate_cloud(SynthSpec(dim=2, n_rods=25, crossings=4, seed=4))
+    ids = np.random.default_rng(8).permutation(len(cloud2))
+    permuted = PointCloud([Node(id=k, loc=cloud2.nodes[i].loc) for k, i in enumerate(ids.tolist())], 2)
+    cloud3, _ = generate_cloud(SynthSpec(dim=3, n_rods=15, seed=6))
+    _, imaged, _ = generate_image(SynthSpec(dim=2, n_rods=12, crossings=4, intensity_valley=0.7, seed=2))
+    # isolated nodes make the root strip; this scatter strips below a Fiedler split
+    lone = [Node(id=len(cloud2) + k, loc=np.array([-500.0, 100.0 * k])) for k in range(3)]
+    with_lone = PointCloud(cloud2.nodes + lone, 2)
+    locs = np.random.default_rng(6).uniform(0.0, 150.0, size=(60, 3))
+    scattered = PointCloud([Node(id=i, loc=p) for i, p in enumerate(locs)], 3)
+    for cloud in (cloud2, permuted, with_lone, scattered, cloud3, imaged):
+        assert_matches_reference(cloud)

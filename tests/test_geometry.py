@@ -128,6 +128,8 @@ def test_cloud_validation():
     cloud = PointCloud(nodes, 2)
     assert len(cloud) == 2
     assert cloud.locs().shape == (2, 2)
+    assert cloud.locs() is cloud.locs() and not cloud.locs().flags.writeable
+    assert PointCloud([], 3).locs().shape == (0, 3)
     with pytest.raises(InputError):
         PointCloud([Node(id=1, loc=np.array([0.0, 0.0]))], 2)  # ids must start at 0
     with pytest.raises(InputError):

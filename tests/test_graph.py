@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lcuts.direction import VotingParams, assign_all_directions
+from lcuts.direction import VotingParams, assign_all_directions, hop_neighborhood
 from lcuts.errors import InputError, MissingDataError
 from lcuts.geometry import Node, PointCloud, pairwise_distance
 from lcuts.graph import (GraphParams, WeightedGraph, build_adjacency,
@@ -145,6 +145,37 @@ def test_build_adjacency_factor_product_oracle():
             wi = weight_intensity(cloud, i, j, thresh, PARAMS) if wd > 0.0 else 1.0
             expected[i, j] = wd * wt * wi
     assert np.abs(expected - got).max() == 0.0
+
+
+def test_cutoffs_keep_pairs_at_exactly_the_radius():
+    # integer offsets of integer length: the distance equals the radius exactly
+    for offset, length in (((3.0, 4.0), 5.0), ((5.0, 12.0), 13.0), ((6.0, 8.0), 10.0),
+                           ((2.0, 3.0, 6.0), 7.0)):
+        dim = len(offset)
+        cloud = PointCloud([Node(id=0, loc=np.zeros(dim)), Node(id=1, loc=np.array(offset))], dim)
+        for radius, kept in ((length, True), (np.nextafter(length, 0.0), False)):
+            w = build_adjacency(cloud, GraphParams(r=radius)).weights
+            assert bool(w[0, 1] > 0.0) is kept, (offset, radius)
+            nb = hop_neighborhood(cloud, 0, VotingParams(hops=1, hop_radius=radius))
+            assert (nb.members == {1}) is kept, (offset, radius)
+
+
+def test_cutoffs_on_integer_grids_vs_brute_force():
+    # grids hold many pairs tied exactly at the radius
+    grids = [(np.stack(np.meshgrid(np.arange(13.0), np.arange(13.0)), -1).reshape(-1, 2), 5.0),
+             (np.stack(np.meshgrid(*[np.arange(7.0)] * 3), -1).reshape(-1, 3), 3.0)]
+    for locs, radius in grids:
+        n, dim = locs.shape
+        cloud = PointCloud([Node(id=i, loc=p) for i, p in enumerate(locs)], dim)
+        diff = locs[:, None, :] - locs[None, :, :]
+        d2 = (diff * diff).sum(axis=-1)
+        off_diag = ~np.eye(n, dtype=bool)
+        w = build_adjacency(cloud, GraphParams(r=radius, sigma_d=radius)).weights
+        assert np.array_equal(w > 0.0, (np.sqrt(d2) <= radius) & off_diag)
+        params = VotingParams(hops=1, hop_radius=radius)
+        for center in range(0, n, 7):
+            expected = np.nonzero((d2[center] <= radius * radius) & off_diag[center])[0]
+            assert hop_neighborhood(cloud, center, params).members == frozenset(expected.tolist())
 
 
 def test_build_adjacency_exactly_symmetric():

@@ -165,6 +165,10 @@ def test_prune_nodes_drops_isolated():
     cloud = prune_nodes(pts, img, PipelineParams())
     assert len(cloud) == 2
     assert all(n.loc[0] < 10 for n in cloud.nodes)
+    # a partner at exactly the isolation radius still counts
+    pair = [np.array([10.0, 10.0]), np.array([13.0, 14.0])]
+    assert len(prune_nodes(pair, img, PipelineParams(min_neighbor_dist=5.0))) == 2
+    assert len(prune_nodes(pair, img, PipelineParams(min_neighbor_dist=np.nextafter(5.0, 0.0)))) == 0
 
 
 def test_prune_nodes_grid_preserved():

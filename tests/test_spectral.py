@@ -5,7 +5,7 @@ import pytest
 
 from lcuts.errors import DegenerateInputError, InputError
 from lcuts.graph import WeightedGraph
-from lcuts.spectral import ncut_bipartition, ncut_value, smallest_eigenpairs
+from lcuts.spectral import components, ncut_bipartition, ncut_value, peel, smallest_eigenpairs
 
 
 def graph_from(w):
@@ -133,6 +133,20 @@ def test_bipartition_disconnected():
     assert part.ncut == 0.0
     assert part.group_a == frozenset({0, 1})
     assert part.group_b == frozenset({2, 3, 4})
+
+
+def test_components_sorted_by_smallest_member():
+    w = np.zeros((6, 6))
+    for i, j in ((0, 4), (1, 2), (2, 5)):
+        w[i, j] = w[j, i] = 0.5
+    assert components(w) == [[0, 4], [1, 2, 5], [3]]
+
+
+def test_peel_smallest_component_against_rest():
+    # smallest by size, ties to the smaller id; the side with id 0 comes first
+    assert peel([[0, 4], [1, 2, 5], [3]]) == ([[0, 4], [1, 2, 5]], [[3]])
+    assert peel([[0, 4], [1, 2], [3, 5, 6]]) == ([[0, 4]], [[1, 2], [3, 5, 6]])
+    assert peel([[0, 4, 7], [1, 2], [3, 5]]) == ([[0, 4, 7], [3, 5]], [[1, 2]])
 
 
 def test_bipartition_path_cuts_weak_edge():

@@ -9,6 +9,7 @@ in 2-D, a PGM), and render (cloud CSV or cluster JSON -> SVG). Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -211,8 +212,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Building the parser costs over ten times as much as parsing, so callers
+    # that run main() many times in one process build it once. Parsing
+    # leaves the parser unchanged.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     logging.basicConfig(
         level=logging.WARNING if args.quiet else logging.INFO,
         format="%(message)s", stream=sys.stderr)

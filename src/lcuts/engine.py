@@ -38,8 +38,11 @@ class StoppingLimits:
     check_eccentricity: bool = True
 
     def __post_init__(self) -> None:
-        if self.size_limit <= 0 or self.std_limit < 0:
-            raise InputError("sizeLimit must be > 0 and stdLimit >= 0")
+        # Written as "not x > 0" so that NaN fails too.
+        if not self.size_limit > 0:
+            raise InputError(f"sizeLimit must be > 0, got {self.size_limit}")
+        if not self.std_limit >= 0:
+            raise InputError(f"stdLimit must be >= 0, got {self.std_limit}")
         if not 0.0 <= self.ecc_limit <= 1.0:
             raise InputError(f"eccLimit must be in [0, 1], got {self.ecc_limit}")
         if self.min_group_size < 1:
@@ -162,14 +165,14 @@ def lcuts(cloud: PointCloud, gparams: GraphParams | None = None,
     thresh: float | None = None
     if work.image is not None and work.has_all_intensities():
         thresh = intensity_threshold(work)
-    w = build_adjacency(work, gparams, thresh=thresh).weights
+    graph = build_adjacency(work, gparams, thresh=thresh)
 
     groups: list[list[int]] = []
     forced_flags: list[bool] = []
     outliers: list[int] = []
     root = TreeNode(ids=list(range(len(work))))
     # Each entry carries the connected components of its node's ids.
-    stack = [(root, components(w))]
+    stack = [(root, components(graph.weights))]
     while stack:
         node, comps = stack.pop()
         ids = node.ids
@@ -198,12 +201,12 @@ def lcuts(cloud: PointCloud, gparams: GraphParams | None = None,
                 node.ncut = 0.0
                 sides = peel(comps)
             else:
-                sub = w[np.ix_(ids, ids)]
-                part = ncut_bipartition(WeightedGraph(sub))
+                sub = graph.restrict(ids)
+                part = ncut_bipartition(sub)
                 node.ncut = part.ncut
                 sides = []
                 for half in (sorted(part.group_a), sorted(part.group_b)):
-                    half_comps = components(sub[np.ix_(half, half)])
+                    half_comps = components(sub.weights[np.ix_(half, half)])
                     sides.append([[ids[half[k]] for k in c] for c in half_comps])
         kids = [TreeNode(ids=sorted(chain(*side))) for side in sides]
         node.children.extend(kids)
@@ -225,4 +228,4 @@ def lcuts(cloud: PointCloud, gparams: GraphParams | None = None,
     fits: list[LineFit | None] = [fit_line(locs[g]) if len(g) >= 2 else None for g in groups]
     rank = np.argsort(back)  # caller id -> working id
     return ClusterResult(groups, sorted(outliers), fits, forced_flags, root,
-                         WeightedGraph(w[np.ix_(rank, rank)]))
+                         graph.restrict(rank))

@@ -64,6 +64,13 @@ class WeightedGraph:
     def n(self) -> int:
         return self.weights.shape[0]
 
+    def restrict(self, ids) -> "WeightedGraph":
+        """The principal submatrix on the distinct node ids ``ids``, in that
+        order. It is valid because this matrix is, so it is not checked again."""
+        sub = object.__new__(WeightedGraph)
+        sub.weights = self.weights[np.ix_(ids, ids)]
+        return sub
+
 
 def weight_distance(d, params: GraphParams):
     """Distance factor; accepts scalars or arrays of nonnegative distances."""

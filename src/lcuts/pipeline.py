@@ -6,6 +6,13 @@ estimates the background which is then subtracted, local maxima of the
 enhanced image become candidate nodes, and pruning removes duplicates and
 isolated detections. The returned cloud stays bound to the enhanced image so
 downstream intensity sampling sees exactly what the detector saw.
+
+The disk is a stack of centered horizontal segments, so the opening runs as
+1-D row minima and maxima (the van Herk / Gil-Werman decomposition): one
+``minimum_filter1d`` or ``maximum_filter1d`` per distinct segment width,
+folded over the row offsets that use it. Min and max never round, so this
+equals the 2-D footprint filter bit for bit. Pruning finds close detections
+with a k-d tree rather than comparing every pair.
 """
 
 from __future__ import annotations
@@ -30,12 +37,18 @@ class PipelineParams:
     detection_floor: float = 0.05    # maxima below this value are ignored
 
     def __post_init__(self) -> None:
-        if self.gaussian_sigma <= 0 or self.background_radius <= 0:
-            raise InputError("gaussianSigma and backgroundRadius must be > 0")
+        # Written as "not x > 0" so that NaN fails too.
+        for key, value in (("gaussianSigma", self.gaussian_sigma),
+                           ("backgroundRadius", self.background_radius)):
+            if not value > 0:
+                raise InputError(f"{key} must be > 0, got {value}")
         if self.maxima_window < 1 or self.maxima_window % 2 == 0:
             raise InputError(f"maximaWindow must be odd and >= 1, got {self.maxima_window}")
-        if self.min_separation < 0 or self.min_neighbor_dist < 0 or self.detection_floor < 0:
-            raise InputError("separation, neighbor distance, and floor must be >= 0")
+        for key, value in (("minSeparation", self.min_separation),
+                           ("minNeighborDist", self.min_neighbor_dist),
+                           ("detectionFloor", self.detection_floor)):
+            if not value >= 0:
+                raise InputError(f"{key} must be >= 0, got {value}")
 
 
 def gaussian_kernel(sigma: float) -> np.ndarray:
@@ -48,7 +61,7 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
 
 def gaussian_filter(img: RasterImage, sigma: float) -> RasterImage:
     """Separable Gaussian smoothing with mirror-reflected edges."""
-    if sigma <= 0:
+    if not sigma > 0:
         raise InputError(f"sigma must be > 0, got {sigma}")
     kernel = gaussian_kernel(sigma)
     out = ndimage.correlate1d(img.pixels, kernel, axis=1, mode="mirror")
@@ -62,14 +75,50 @@ def _disk(radius: float) -> np.ndarray:
     return x * x + y * y <= radius * radius
 
 
-def subtract_background(img: RasterImage, radius: float) -> RasterImage:
-    """Remove everything wider than the disk: subtract the grayscale opening."""
-    if radius <= 0:
-        raise InputError(f"radius must be > 0, got {radius}")
+def _disk_rank(pixels: np.ndarray, fp: np.ndarray, filter1d, fold) -> np.ndarray:
+    """Min (``minimum_filter1d``, ``np.minimum``) or max (the max pair) of
+    ``pixels`` over the odd, symmetric footprint ``fp``, with mirror borders.
+
+    Footprint row k holds row offset k - r and must be a centered segment,
+    ``|dx| <= h_k``, so the result at (y, x) folds over k the 1-D filter of
+    width 2 h_k + 1 at row mirror(y + k - r). The rows are mirror-padded
+    once (numpy's "reflect" is ndimage's "mirror", d c b | a b c d | c b a,
+    also for pads longer than the axis); each distinct width is filtered
+    once and its rows are folded in as slices.
+    """
+    r = fp.shape[0] // 2
+    half = fp.sum(axis=1) // 2
+    n = pixels.shape[0]
+    padded = np.pad(pixels, ((r, r), (0, 0)), mode="reflect")
+    rows = np.empty_like(padded)
+    out = None
+    for h in np.unique(half):
+        filter1d(padded, 2 * int(h) + 1, axis=1, output=rows, mode="mirror")
+        for k in np.flatnonzero(half == h):
+            band = rows[k : k + n]
+            out = band.copy() if out is None else fold(out, band, out=out)
+    return out
+
+
+def _open_disk(pixels: np.ndarray, radius: float) -> np.ndarray:
+    """Grayscale opening by ``_disk(radius)`` with mirror borders."""
     fp = _disk(radius)
-    eroded = ndimage.grey_erosion(img.pixels, footprint=fp, mode="mirror")
-    background = ndimage.grey_dilation(eroded, footprint=fp, mode="mirror")
-    return RasterImage(np.clip(img.pixels - background, 0.0, 1.0))
+    eroded = _disk_rank(pixels, fp, ndimage.minimum_filter1d, np.minimum)
+    # The disk is its own reflection, so the dilation needs no flipped footprint.
+    return _disk_rank(eroded, fp, ndimage.maximum_filter1d, np.maximum)
+
+
+def subtract_background(img: RasterImage, radius: float) -> RasterImage:
+    """Remove everything wider than the disk: subtract the grayscale opening.
+
+    The opening is an erosion then a dilation by ``_disk(radius)`` with
+    mirror borders. Each runs as a min (max) over the disk's row offsets of
+    1-D row filters; min and max never round, so the result equals the 2-D
+    footprint filter exactly.
+    """
+    if not radius > 0:
+        raise InputError(f"radius must be > 0, got {radius}")
+    return RasterImage(np.clip(img.pixels - _open_disk(img.pixels, radius), 0.0, 1.0))
 
 
 def find_local_maxima(img: RasterImage, window: int, floor: float) -> list[np.ndarray]:
@@ -109,10 +158,19 @@ def prune_nodes(points: list[np.ndarray], img: RasterImage, params: PipelinePara
     vals = bilinear_sample(img, pts[:, 0], pts[:, 1])
     # Brightest first; ties resolved by raster order for determinism.
     order = np.lexsort((pts[:, 0], pts[:, 1], -vals))
+    # Only detections the k-d tree pairs up can fail the separation test.
+    ii, jj, _ = radius_pairs(pts, params.min_separation)
+    close: list[list[int]] = [[] for _ in range(len(pts))]
+    for i, j in zip(ii.tolist(), jj.tolist()):
+        close[i].append(j)
+        close[j].append(i)
+    is_kept = [False] * len(pts)
     kept: list[int] = []
     for idx in order.tolist():
         p = pts[idx]
-        if all(np.linalg.norm(p - pts[j]) >= params.min_separation for j in kept):
+        if all(np.linalg.norm(p - pts[j]) >= params.min_separation
+               for j in close[idx] if is_kept[j]):
+            is_kept[idx] = True
             kept.append(idx)
     survivors = pts[kept]
     sval = vals[kept]

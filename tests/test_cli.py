@@ -4,6 +4,9 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
+
+from lcuts import cli
 
 
 def run_cli(*args):
@@ -247,3 +250,18 @@ def test_full_loop_deterministic(tmp_path):
         artifacts.append([(d / name).read_bytes()
                           for name in ("c.csv", "c.pgm", "pred.json", "m.json", "p.svg")])
     assert artifacts[0] == artifacts[1]
+
+
+@pytest.mark.parametrize("key", ["gaussianSigma", "backgroundRadius", "minSeparation",
+                                 "minNeighborDist", "detectionFloor", "sizeLimit",
+                                 "stdLimit"])
+def test_nan_parameter_is_an_input_error(tmp_path, capsys, key):
+    cfg = tmp_path / "nan.cfg"
+    write_spec(cfg, **{key: "nan"})
+    img = tmp_path / "img.csv"
+    img.write_text("0.1,0.2,0.3\n0.4,0.5,0.6\n")
+    assert cli.main(["--config", str(cfg), "--quiet", "extract",
+                     str(img), str(tmp_path / "found.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert not (tmp_path / "found.csv").exists()

@@ -166,6 +166,9 @@ def test_stopping_limits_validation():
         StoppingLimits(std_limit=-1.0)
     with pytest.raises(InputError):
         StoppingLimits(min_group_size=0)
+    for name in ("size_limit", "std_limit", "ecc_limit"):
+        with pytest.raises(InputError):
+            StoppingLimits(**{name: float("nan")})
 
 
 def reference_lcuts(cloud):

@@ -201,6 +201,16 @@ def test_weighted_graph_validation():
     assert WeightedGraph(np.zeros((0, 0))).n == 0
 
 
+def test_weighted_graph_restrict_is_principal_submatrix():
+    w = np.array([[0.0, 0.2, 0.3], [0.2, 0.0, 0.4], [0.3, 0.4, 0.0]])
+    graph = WeightedGraph(w)
+    for ids in ([2, 0], [1], [], [0, 1, 2], np.array([2, 1, 0])):
+        sub = graph.restrict(ids)
+        assert isinstance(sub, WeightedGraph)
+        assert np.array_equal(sub.weights, w[np.ix_(ids, ids)])
+        assert sub.n == len(ids)
+
+
 def test_graph_params_validation():
     with pytest.raises(InputError):
         GraphParams(r=0.0)

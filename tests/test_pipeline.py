@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
+from lcuts import cli, pipeline
 from lcuts.errors import InputError
-from lcuts.pipeline import (PipelineParams, extract_nodes, find_local_maxima,
-                            gaussian_filter, gaussian_kernel, prune_nodes,
-                            subtract_background)
-from lcuts.raster import RasterImage
+from lcuts.pipeline import (PipelineParams, _disk, _disk_rank, _open_disk,
+                            extract_nodes, find_local_maxima, gaussian_filter,
+                            gaussian_kernel, prune_nodes, subtract_background)
+from lcuts.raster import RasterImage, bilinear_sample
 from lcuts.synth import SynthSpec, generate_image, segment_distance, _place_rods
 
 
@@ -39,6 +41,31 @@ def naive_opening(pixels, radius):
         for x in range(w):
             opened[y, x] = padded[y:y + 2 * r + 1, x:x + 2 * r + 1][fp].max()
     return opened
+
+
+def footprint_opening(pixels, radius):
+    """Reference opening: 2-D footprint filters over the whole disk."""
+    fp = _disk(radius)
+    eroded = ndimage.grey_erosion(pixels, footprint=fp, mode="mirror")
+    return ndimage.grey_dilation(eroded, footprint=fp, mode="mirror")
+
+
+def greedy_prune(points, img, params):
+    """Reference pruning: brightest-first dedup against every kept point, then
+    brute-force isolation; returns (locs, intensities) in raster order."""
+    pts = np.asarray(points, dtype=np.float64)
+    vals = bilinear_sample(img, pts[:, 0], pts[:, 1])
+    kept = []
+    for idx in np.lexsort((pts[:, 0], pts[:, 1], -vals)).tolist():
+        if all(np.linalg.norm(pts[idx] - pts[j]) >= params.min_separation for j in kept):
+            kept.append(idx)
+    pts, vals = pts[kept], vals[kept]
+    d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
+    np.fill_diagonal(d, np.inf)
+    social = (d <= params.min_neighbor_dist).any(axis=1)
+    pts, vals = pts[social], vals[social]
+    order = np.lexsort((pts[:, 0], pts[:, 1]))
+    return pts[order], np.clip(vals[order], 0.0, 1.0)
 
 
 def test_gaussian_kernel_normalized():
@@ -90,6 +117,35 @@ def test_subtract_background_keeps_ridge():
     assert np.abs((px - opened).clip(0.0, 1.0) - out.pixels).max() <= 1e-12
     assert np.all(np.abs(out.pixels[19, 5:55] - 0.7) <= 1e-9)
     assert np.all(np.abs(out.pixels[:10, :]) <= 1e-9)
+
+
+@pytest.mark.parametrize("radius", [0.5, 1.0, 1.5, 2.7, 7.3, 15.0, 33.3])
+def test_disk_opening_equals_footprint_filters(radius):
+    rng = np.random.default_rng(int(radius * 10))
+    shapes = [(1, 1), (1, 9), (9, 1), (1, 40), (40, 1), (3, 5), (17, 12), (24, 37)]
+    shapes += [tuple(int(v) for v in rng.integers(1, 45, size=2)) for _ in range(6)]
+    for k, shape in enumerate(shapes):
+        px = rng.uniform(0.0, 1.0, size=shape)
+        if k % 2:
+            px = np.round(px * 4.0) / 4.0  # quantised: many ties
+        fp = _disk(radius)
+        eroded = _disk_rank(px, fp, ndimage.minimum_filter1d, np.minimum)
+        assert np.array_equal(eroded, ndimage.grey_erosion(px, footprint=fp, mode="mirror"))
+        assert np.array_equal(_open_disk(px, radius), footprint_opening(px, radius))
+        out = subtract_background(RasterImage(px), radius)
+        assert np.array_equal(out.pixels, np.clip(px - footprint_opening(px, radius), 0.0, 1.0))
+
+
+def test_cli_extract_bytes_match_footprint_opening(tmp_path, monkeypatch):
+    spec = tmp_path / "spec.cfg"
+    spec.write_text("dim = 2\nnRods = 20\ncrossings = 5\nintensityValley = 0.7\nseed = 11\n")
+    assert cli.main(["--quiet", "synth", str(spec), str(tmp_path / "img")]) == 0
+    assert cli.main(["--quiet", "extract", str(tmp_path / "img.pgm"), str(tmp_path / "fast.csv")]) == 0
+    monkeypatch.setattr(pipeline, "_open_disk", footprint_opening)
+    assert cli.main(["--quiet", "extract", str(tmp_path / "img.pgm"), str(tmp_path / "ref.csv")]) == 0
+    fast = (tmp_path / "fast.csv").read_bytes()
+    assert fast == (tmp_path / "ref.csv").read_bytes()
+    assert len(fast.splitlines()) > 50
 
 
 def test_find_local_maxima_basic():
@@ -183,6 +239,36 @@ def test_prune_nodes_grid_preserved():
         assert node.intensity == pytest.approx(px[iy, ix], abs=1e-12)
 
 
+def _assert_prune_matches_greedy(points, img, params):
+    locs, vals = greedy_prune(points, img, params)
+    if len(np.unique(locs, axis=0)) < len(locs):
+        # only min_separation = 0 keeps duplicates, and a cloud rejects them
+        with pytest.raises(InputError, match="duplicate"):
+            prune_nodes(points, img, params)
+        return
+    cloud = prune_nodes(points, img, params)
+    assert np.array_equal(cloud.locs().reshape(-1, 2), locs)
+    assert [n.intensity for n in cloud.nodes] == vals.tolist()
+
+
+@pytest.mark.parametrize("min_separation", [0.0, 1.0, 2.0, 2.5, 5.0])
+def test_prune_nodes_matches_greedy_dedup(min_separation):
+    rng = np.random.default_rng(int(min_separation * 10) + 1)
+    params = PipelineParams(min_separation=min_separation, min_neighbor_dist=5.0)
+    px = rng.uniform(0.0, 1.0, size=(40, 50))
+    for img in (RasterImage(px), RasterImage(np.round(px * 3.0) / 3.0)):
+        # random float points, with a few exact duplicates
+        pts = rng.uniform(0.0, 39.0, size=(150, 2))
+        pts = np.vstack([pts, pts[:20]])
+        _assert_prune_matches_greedy(list(pts), img, params)
+        # integer grids: neighbours at exactly 2, 4 and (3, 4) -> 5 apart
+        for step in ((1, 1), (2, 2), (3, 4), (4, 3)):
+            grid = [np.array([float(x), float(y)])
+                    for y in range(0, 20, step[1]) for x in range(0, 25, step[0])]
+            _assert_prune_matches_greedy(grid, img, params)
+            _assert_prune_matches_greedy(grid + grid[::3], img, params)
+
+
 def test_extract_nodes_blank_image():
     cloud = extract_nodes(RasterImage(np.zeros((30, 30))), PipelineParams())
     assert len(cloud) == 0
@@ -253,3 +339,12 @@ def test_pipeline_params_validation():
         PipelineParams(maxima_window=4)
     with pytest.raises(InputError):
         PipelineParams(min_separation=-1.0)
+    for name in ("gaussian_sigma", "background_radius", "min_separation",
+                 "min_neighbor_dist", "detection_floor"):
+        with pytest.raises(InputError):
+            PipelineParams(**{name: float("nan")})
+    img = RasterImage(np.full((5, 5), 0.5))
+    with pytest.raises(InputError):
+        gaussian_filter(img, float("nan"))
+    with pytest.raises(InputError):
+        subtract_background(img, float("nan"))

@@ -1,6 +1,6 @@
 """Point-cloud clustering into collinear groups by recursive normalized cuts."""
 
-from .direction import Neighborhood, VotingParams, assign_all_directions, estimate_direction, hop_neighborhood
+from .direction import VotingParams, assign_all_directions
 from .engine import ClusterResult, Decision, StopCheck, StoppingLimits, check_stopping, lcuts
 from .errors import (
     DegenerateInputError,
@@ -11,8 +11,8 @@ from .errors import (
     OutOfBoundsError,
     SynthesisError,
 )
-from .geometry import LineFit, Node, PointCloud, eccentricity, fit_line, pairwise_distance, read_cloud_csv, write_cloud_csv
-from .graph import GraphParams, WeightedGraph, build_adjacency, intensity_threshold, weight_direction, weight_distance, weight_intensity
+from .geometry import LineFit, Node, PointCloud, fit_line, read_cloud_csv, write_cloud_csv
+from .graph import GraphParams, WeightedGraph, build_adjacency, intensity_threshold
 from .metrics import EvalReport, counting_accuracy, dice, evaluate, grouping_accuracy, match_clusters
 from .pipeline import PipelineParams, extract_nodes, find_local_maxima, gaussian_filter, prune_nodes, subtract_background
 from .raster import RasterImage, bilinear_sample, read_csv_grid, read_image, read_pgm, write_pgm

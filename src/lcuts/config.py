@@ -108,29 +108,12 @@ class Config:
             raise InputError(f"{path}: {exc}") from exc
 
     def echo(self) -> dict:
-        """Fully resolved parameter set for embedding in output artifacts."""
-        return {
-            "hops": self.voting.hops,
-            "hopRadius": self.voting.hop_radius,
-            "nRelBins": self.voting.rel_bins,
-            "r": self.graph.r,
-            "sigmaD": self.graph.sigma_d,
-            "sigmaT": self.graph.sigma_t,
-            "intensitySamplingStep": self.graph.intensity_sampling_step,
-            "sizeLimit": self.limits.size_limit,
-            "eccLimit": self.limits.ecc_limit,
-            "stdLimit": self.limits.std_limit,
-            "minGroupSize": self.limits.min_group_size,
-            "checkIntensity": self.limits.check_intensity,
-            "checkEccentricity": self.limits.check_eccentricity,
-            "gaussianSigma": self.pipeline.gaussian_sigma,
-            "backgroundRadius": self.pipeline.background_radius,
-            "maximaWindow": self.pipeline.maxima_window,
-            "minSeparation": self.pipeline.min_separation,
-            "minNeighborDist": self.pipeline.min_neighbor_dist,
-            "detectionFloor": self.pipeline.detection_floor,
-            "overlapFrac": self.overlap_frac,
-        }
+        """Fully resolved parameter set for embedding in output artifacts,
+        in the order of ``_CONFIG_KEYS``; ``nRelBins`` is the resolved bin count."""
+        sections = {"voting": self.voting, "graph": self.graph, "limits": self.limits,
+                    "pipeline": self.pipeline, "eval": self}
+        return {key: getattr(sections[section], "rel_bins" if key == "nRelBins" else attr)
+                for key, (section, attr, _) in _CONFIG_KEYS.items()}
 
 
 _SYNTH_KEYS: dict[str, tuple[str, object]] = {

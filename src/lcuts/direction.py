@@ -47,12 +47,6 @@ class VotingParams:
         return self.n_rel_bins if self.n_rel_bins is not None else self.hops
 
 
-@dataclass(frozen=True)
-class Neighborhood:
-    center: int
-    members: frozenset[int]
-
-
 def _hop_reach(locs: np.ndarray, params: VotingParams) -> sparse.csr_matrix:
     """Boolean matrix whose row i marks every node reachable from node i in at
     most ``hops`` steps of length <= ``hop_radius``, node i itself included."""
@@ -72,14 +66,6 @@ def _hop_reach(locs: np.ndarray, params: VotingParams) -> sparse.csr_matrix:
 def _members(reach: sparse.csr_matrix, center: int) -> list[int]:
     row = reach.indices[reach.indptr[center]:reach.indptr[center + 1]]
     return row[row != center].tolist()
-
-
-def hop_neighborhood(cloud: PointCloud, center: int, params: VotingParams) -> Neighborhood:
-    """Nodes reachable from ``center`` in at most ``hops`` steps of length
-    <= ``hop_radius`` each; the center itself is excluded."""
-    if not 0 <= center < len(cloud):
-        raise InputError(f"center id {center} out of range")
-    return Neighborhood(center, frozenset(_members(_hop_reach(cloud.locs(), params), center)))
 
 
 def _vote(locs: np.ndarray, center: int, members: list[int], n_bins: int) -> np.ndarray | None:
@@ -117,18 +103,6 @@ def _location_order(locs: np.ndarray, members: list[int]) -> list[int]:
     # order votes by coordinates, not ids, so relabeling cannot change the sum
     pts = locs[members]
     return [members[k] for k in np.lexsort(pts.T[::-1])]
-
-
-def estimate_direction(cloud: PointCloud, center: int, nbhd: Neighborhood,
-                       params: VotingParams) -> np.ndarray | None:
-    """Majority-vote axis estimate for one node; None when the neighborhood is empty."""
-    if nbhd.center != center:
-        raise InputError("neighborhood was built for a different center")
-    if not nbhd.members:
-        return None
-    locs = cloud.locs()
-    members = _location_order(locs, sorted(nbhd.members))
-    return _vote(locs, center, members, params.rel_bins)
 
 
 def assign_all_directions(cloud: PointCloud, params: VotingParams) -> PointCloud:

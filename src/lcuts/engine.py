@@ -119,12 +119,9 @@ def check_stopping(cloud: PointCloud, group, limits: StoppingLimits,
         linear = fit.eccentricity >= limits.ecc_limit
     if linear and limits.check_intensity and cloud.image is not None and thresh is not None:
         proj = (locs[ids] - fit.centroid) @ fit.axis
-        along = [ids[k] for k in np.lexsort((ids, proj))]
-        for u, v in zip(along, along[1:]):
-            m = segment_min_intensity(cloud.image, locs[u], locs[v], sampling_step)
-            if m <= thresh:
-                linear = False
-                break
+        along = np.asarray(ids)[np.lexsort((ids, proj))]
+        m = segment_min_intensity(cloud.image, locs[along[:-1]], locs[along[1:]], sampling_step)
+        linear = not (m <= thresh).any()
 
     if linear:
         return StopCheck(Decision.ACCEPT)

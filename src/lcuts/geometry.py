@@ -121,26 +121,6 @@ def _canonical_order(pts: np.ndarray) -> np.ndarray:
     return pts[np.lexsort(pts.T[::-1])]
 
 
-def _moments(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Centroid, centered residuals, and eigen-decomposition of the second-moment matrix."""
-    centroid = pts.mean(axis=0)
-    resid = pts - centroid
-    moment = resid.T @ resid / len(pts)
-    vals, vecs = np.linalg.eigh(moment)  # ascending eigenvalues
-    return centroid, resid, vals, vecs
-
-
-def _validate_points(points) -> np.ndarray:
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] not in (2, 3):
-        raise DimensionMismatchError("points must be an (N, 2) or (N, 3) array")
-    if len(pts) < 2:
-        raise DegenerateInputError("need at least 2 points to fit a line")
-    if not np.all(np.isfinite(pts)):
-        raise InputError("points contain non-finite values")
-    return _canonical_order(pts)
-
-
 def fit_line(points) -> LineFit:
     """Fit a line by total least squares.
 
@@ -148,10 +128,19 @@ def fit_line(points) -> LineFit:
     the centroid; residuals are measured orthogonally to it. Coincident point
     sets have no axis and raise DegenerateInputError.
     """
-    pts = _validate_points(points)
-    centroid, resid, vals, vecs = _moments(pts)
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] not in (2, 3):
+        raise DimensionMismatchError("points must be an (N, 2) or (N, 3) array")
+    if len(pts) < 2:
+        raise DegenerateInputError("need at least 2 points to fit a line")
+    if not np.all(np.isfinite(pts)):
+        raise InputError("points contain non-finite values")
+    pts = _canonical_order(pts)
+    centroid = pts.mean(axis=0)
+    resid = pts - centroid
     if not np.any(resid):
         raise DegenerateInputError("all points coincide; line axis undefined")
+    vals, vecs = np.linalg.eigh(resid.T @ resid / len(pts))  # ascending eigenvalues
     axis = vecs[:, -1]
     pivot = int(np.argmax(np.abs(axis)))
     if axis[pivot] < 0:
@@ -164,32 +153,6 @@ def fit_line(points) -> LineFit:
     lam2 = max(float(vals[-2]), 0.0)
     ecc = float(np.sqrt(max(1.0 - lam2 / lam1, 0.0)))
     return LineFit(centroid=centroid, axis=axis, std=std, eccentricity=ecc, extent=extent)
-
-
-def eccentricity(points) -> float:
-    """sqrt(1 - lam2/lam1) for the two largest second-moment eigenvalues.
-
-    1 for exactly collinear sets, 0 for isotropic ones.
-    """
-    pts = _validate_points(points)
-    _, resid, vals, _ = _moments(pts)
-    if not np.any(resid):
-        raise DegenerateInputError("all points coincide; eccentricity undefined")
-    lam1 = float(vals[-1])
-    lam2 = max(float(vals[-2]), 0.0)
-    return float(np.sqrt(max(1.0 - lam2 / lam1, 0.0)))
-
-
-def pairwise_distance(a, b) -> float:
-    """Euclidean distance between two locations of equal dimension."""
-    av = np.asarray(a, dtype=np.float64)
-    bv = np.asarray(b, dtype=np.float64)
-    if av.shape != bv.shape:
-        raise DimensionMismatchError(f"dimension mismatch: {av.shape} vs {bv.shape}")
-    diff = av - bv
-    # coordinate-ordered sum, not BLAS norm: keeps the scalar route bit-equal
-    # to the batched distance matrix
-    return float(np.sqrt((diff * diff).sum()))
 
 
 def radius_pairs(locs: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -12,9 +12,10 @@ corresponding factor into 1. The intensity threshold is the midrange of the
 node intensities minus their population variance.
 
 Only pairs within ``r`` can have a nonzero weight, so ``build_adjacency``
-finds them with a k-d tree, evaluates the three factors per pair, and
-scatters the products into a dense symmetric matrix. The scalar factor
-functions compute the same values one pair at a time.
+finds them with a k-d tree, evaluates the three factors for all of them at
+once, and scatters the products into a dense symmetric matrix. The segment
+minimum comes from ``segment_min_intensity``, the one sampler that the
+clustering stop test uses as well.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateInputError, InputError, MissingDataError
+from .errors import InputError, MissingDataError
 from .geometry import PointCloud, radius_pairs
 from .raster import RasterImage, bilinear_sample
 
@@ -67,33 +68,15 @@ class WeightedGraph:
     def restrict(self, ids) -> "WeightedGraph":
         """The principal submatrix on the distinct node ids ``ids``, in that
         order. It is valid because this matrix is, so it is not checked again."""
-        sub = object.__new__(WeightedGraph)
-        sub.weights = self.weights[np.ix_(ids, ids)]
-        return sub
+        return _unchecked(self.weights[np.ix_(ids, ids)])
 
 
-def weight_distance(d, params: GraphParams):
-    """Distance factor; accepts scalars or arrays of nonnegative distances."""
-    d = np.asarray(d, dtype=np.float64)
-    if d.size and d.min() < 0:
-        raise InputError("distances must be nonnegative")
-    w = np.exp(-(d ** 2) / params.sigma_d ** 2)
-    out = np.where(d <= params.r, w, 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def weight_direction(dir_i, dir_j, params: GraphParams) -> float:
-    """Alignment factor from the absolute cosine between two unit axes."""
-    di = np.asarray(dir_i, dtype=np.float64)
-    dj = np.asarray(dir_j, dtype=np.float64)
-    for d in (di, dj):
-        if abs(float(np.linalg.norm(d)) - 1.0) > 1e-9:
-            raise InputError("direction vectors must be unit length")
-    dot = 0.0
-    for k in range(di.shape[0]):  # same accumulation order as the batched matrix
-        dot += float(di[k]) * float(dj[k])
-    c = min(abs(dot), 1.0)
-    return float(np.exp(-((c - 1.0) ** 2) / params.sigma_t ** 2))
+def _unchecked(weights: np.ndarray) -> WeightedGraph:
+    """Wrap a float64 matrix that is a valid affinity by construction,
+    skipping the O(N^2) checks that ``WeightedGraph(weights)`` runs."""
+    graph = object.__new__(WeightedGraph)
+    graph.weights = weights
+    return graph
 
 
 def intensity_threshold(cloud: PointCloud) -> float:
@@ -106,52 +89,25 @@ def intensity_threshold(cloud: PointCloud) -> float:
     return mid - float(arr.var())
 
 
-def segment_min_intensity(image: RasterImage, p, q, step: float) -> float:
-    """Minimum bilinear sample along the straight segment p -> q.
+def segment_min_intensity(image: RasterImage, p: np.ndarray, q: np.ndarray,
+                          step: float) -> np.ndarray:
+    """Minimum bilinear sample along each straight segment p[k] -> q[k].
 
-    Samples are evenly spaced, at most ``step`` apart, endpoints included.
+    ``p`` and ``q`` are (K, 2) endpoint arrays; returns the K minima. Samples
+    are evenly spaced, at most ``step`` apart, endpoints included. Segments
+    with the same sample count are sampled together.
     """
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
     seg = q - p
-    length = float(np.sqrt((seg * seg).sum()))
-    count = max(2, int(np.ceil(length / step)) + 1)
-    ts = np.linspace(0.0, 1.0, count)
-    pts = p[None, :] + ts[:, None] * (q - p)[None, :]
-    return float(bilinear_sample(image, pts[:, 0], pts[:, 1]).min())
-
-
-def weight_intensity(cloud: PointCloud, i: int, j: int, thresh: float,
-                     params: GraphParams) -> float:
-    """Intensity factor for the node pair (i, j) against the bound image.
-
-    The segment always runs from the lower to the higher id, which keeps the
-    sampled set, and therefore the factor, exactly symmetric.
-    """
-    if cloud.image is None:
-        raise MissingDataError("weight_intensity needs a bound image")
-    lo, hi = (i, j) if i <= j else (j, i)
-    m = segment_min_intensity(cloud.image, cloud.nodes[lo].loc, cloud.nodes[hi].loc,
-                              params.intensity_sampling_step)
-    return m if m <= thresh else 1.0
-
-
-def _intensity_factor(cloud: PointCloud, ii: np.ndarray, jj: np.ndarray, dist: np.ndarray,
-                      thresh: float, step: float) -> np.ndarray:
-    """Vectorized intensity factor for the pairs (ii, jj), ii < jj, at distances ``dist``."""
-    locs = cloud.locs()
-    counts = np.maximum(2, np.ceil(dist / step).astype(np.int64) + 1)
-    factors = np.ones(ii.size)
+    length = np.sqrt((seg * seg).sum(axis=-1))
+    counts = np.maximum(2, np.ceil(length / step).astype(np.int64) + 1)
+    mins = np.empty(len(counts))
     for count in np.unique(counts):
         sel = np.nonzero(counts == count)[0]
-        p = locs[ii[sel]]
-        q = locs[jj[sel]]
         ts = np.linspace(0.0, 1.0, int(count))
-        pts = p[:, None, :] + ts[None, :, None] * (q - p)[:, None, :]
-        vals = bilinear_sample(cloud.image, pts[..., 0].ravel(), pts[..., 1].ravel())
-        mins = vals.reshape(len(sel), int(count)).min(axis=1)
-        factors[sel] = np.where(mins <= thresh, mins, 1.0)
-    return factors
+        pts = p[sel, None, :] + ts[None, :, None] * seg[sel, None, :]
+        vals = bilinear_sample(image, pts[..., 0].ravel(), pts[..., 1].ravel())
+        mins[sel] = vals.reshape(len(sel), int(count)).min(axis=1)
+    return mins
 
 
 def build_adjacency(cloud: PointCloud, params: GraphParams,
@@ -163,7 +119,8 @@ def build_adjacency(cloud: PointCloud, params: GraphParams,
     computed elsewhere, otherwise it is derived here.
     """
     n = len(cloud)
-    ii, jj, d2 = radius_pairs(cloud.locs(), params.r)
+    locs = cloud.locs()
+    ii, jj, d2 = radius_pairs(locs, params.r)
     dist = np.sqrt(d2)
     near = dist <= params.r
     ii, jj, dist = ii[near], jj[near], dist[near]
@@ -175,7 +132,8 @@ def build_adjacency(cloud: PointCloud, params: GraphParams,
         if node.dir is not None:
             dirs[node.id] = node.dir
             present[node.id] = True
-    # Coordinate-ordered accumulation from 0.0, as in weight_direction.
+    # Coordinate-ordered accumulation from 0.0, as in the scalar oracle of
+    # tests/oracles.py.
     dots = np.zeros(ii.size)
     for k in range(cloud.dim):
         dots += dirs[ii, k] * dirs[jj, k]
@@ -186,13 +144,16 @@ def build_adjacency(cloud: PointCloud, params: GraphParams,
     if cloud.image is not None and cloud.has_all_intensities():
         if thresh is None:
             thresh = intensity_threshold(cloud)
-        wi = _intensity_factor(cloud, ii, jj, dist, thresh, params.intensity_sampling_step)
+        m = segment_min_intensity(cloud.image, locs[ii], locs[jj], params.intensity_sampling_step)
+        wi = np.where(m <= thresh, m, 1.0)
     else:
         wi = 1.0
 
     w = np.zeros((n, n))
+    # Symmetric with a zero diagonal (pairs have i < j) and in [0, 1], since
+    # each factor is; checking that again would cost O(N^2).
     w[ii, jj] = w[jj, ii] = wd * wt * wi
-    return WeightedGraph(w)
+    return _unchecked(w)
 
 
 def write_adjacency_csv(path: str | Path, graph: WeightedGraph) -> None:

@@ -37,18 +37,19 @@ class PipelineParams:
     detection_floor: float = 0.05    # maxima below this value are ignored
 
     def __post_init__(self) -> None:
-        # Written as "not x > 0" so that NaN fails too.
+        # Written as "not 0 < x < inf" so that NaN fails too. An infinite size
+        # overflows the filter sizes or asks radius_pairs for every pair.
         for key, value in (("gaussianSigma", self.gaussian_sigma),
                            ("backgroundRadius", self.background_radius)):
-            if not value > 0:
-                raise InputError(f"{key} must be > 0, got {value}")
+            if not 0 < value < np.inf:
+                raise InputError(f"{key} must be finite and > 0, got {value}")
         if self.maxima_window < 1 or self.maxima_window % 2 == 0:
             raise InputError(f"maximaWindow must be odd and >= 1, got {self.maxima_window}")
         for key, value in (("minSeparation", self.min_separation),
                            ("minNeighborDist", self.min_neighbor_dist),
                            ("detectionFloor", self.detection_floor)):
-            if not value >= 0:
-                raise InputError(f"{key} must be >= 0, got {value}")
+            if not 0 <= value < np.inf:
+                raise InputError(f"{key} must be finite and >= 0, got {value}")
 
 
 def gaussian_kernel(sigma: float) -> np.ndarray:

@@ -1,0 +1,157 @@
+"""Scalar reference implementations that the tests compare the library against.
+
+The library computes each concept once, batched over all pairs or nodes.
+The functions here compute the same values one pair or one node at a time,
+in the same arithmetic order, so the tests can demand exact equality. They
+are not part of the ``lcuts`` package, which never imports this module.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from lcuts.direction import VotingParams, _hop_reach, _location_order, _members, _vote
+from lcuts.engine import Decision, StopCheck, StoppingLimits
+from lcuts.errors import DimensionMismatchError, InputError, MissingDataError
+from lcuts.geometry import PointCloud, fit_line
+from lcuts.graph import GraphParams
+from lcuts.raster import RasterImage, bilinear_sample
+
+
+# ----------------------------------------------------------------------------
+# Affinity factors
+
+
+def weight_distance(d, params: GraphParams):
+    """Distance factor; accepts scalars or arrays of nonnegative distances."""
+    d = np.asarray(d, dtype=np.float64)
+    if d.size and d.min() < 0:
+        raise InputError("distances must be nonnegative")
+    w = np.exp(-(d ** 2) / params.sigma_d ** 2)
+    out = np.where(d <= params.r, w, 0.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def weight_direction(dir_i, dir_j, params: GraphParams) -> float:
+    """Alignment factor from the absolute cosine between two unit axes."""
+    di = np.asarray(dir_i, dtype=np.float64)
+    dj = np.asarray(dir_j, dtype=np.float64)
+    for d in (di, dj):
+        if abs(float(np.linalg.norm(d)) - 1.0) > 1e-9:
+            raise InputError("direction vectors must be unit length")
+    dot = 0.0
+    for k in range(di.shape[0]):  # same accumulation order as the batched matrix
+        dot += float(di[k]) * float(dj[k])
+    c = min(abs(dot), 1.0)
+    return float(np.exp(-((c - 1.0) ** 2) / params.sigma_t ** 2))
+
+
+def segment_min_scalar(image: RasterImage, p, q, step: float) -> float:
+    """Minimum bilinear sample along the one straight segment p -> q.
+
+    Samples are evenly spaced, at most ``step`` apart, endpoints included.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    seg = q - p
+    length = float(np.sqrt((seg * seg).sum()))
+    count = max(2, int(np.ceil(length / step)) + 1)
+    ts = np.linspace(0.0, 1.0, count)
+    pts = p[None, :] + ts[:, None] * (q - p)[None, :]
+    return float(bilinear_sample(image, pts[:, 0], pts[:, 1]).min())
+
+
+def weight_intensity(cloud: PointCloud, i: int, j: int, thresh: float,
+                     params: GraphParams) -> float:
+    """Intensity factor for the node pair (i, j) against the bound image.
+
+    The segment always runs from the lower to the higher id, which keeps the
+    sampled set, and therefore the factor, exactly symmetric.
+    """
+    if cloud.image is None:
+        raise MissingDataError("weight_intensity needs a bound image")
+    lo, hi = (i, j) if i <= j else (j, i)
+    m = segment_min_scalar(cloud.image, cloud.nodes[lo].loc, cloud.nodes[hi].loc,
+                           params.intensity_sampling_step)
+    return m if m <= thresh else 1.0
+
+
+def pairwise_distance(a, b) -> float:
+    """Euclidean distance between two locations of equal dimension."""
+    av = np.asarray(a, dtype=np.float64)
+    bv = np.asarray(b, dtype=np.float64)
+    if av.shape != bv.shape:
+        raise DimensionMismatchError(f"dimension mismatch: {av.shape} vs {bv.shape}")
+    diff = av - bv
+    # coordinate-ordered sum, not BLAS norm: keeps the scalar route bit-equal
+    # to the batched distances
+    return float(np.sqrt((diff * diff).sum()))
+
+
+# ----------------------------------------------------------------------------
+# Direction voting, one node at a time
+
+
+@dataclass(frozen=True)
+class Neighborhood:
+    center: int
+    members: frozenset[int]
+
+
+def hop_neighborhood(cloud: PointCloud, center: int, params: VotingParams) -> Neighborhood:
+    """Nodes reachable from ``center`` in at most ``hops`` steps of length
+    <= ``hop_radius`` each; the center itself is excluded."""
+    if not 0 <= center < len(cloud):
+        raise InputError(f"center id {center} out of range")
+    return Neighborhood(center, frozenset(_members(_hop_reach(cloud.locs(), params), center)))
+
+
+def estimate_direction(cloud: PointCloud, center: int, nbhd: Neighborhood,
+                       params: VotingParams) -> np.ndarray | None:
+    """Majority-vote axis estimate for one node; None when the neighborhood is empty."""
+    if nbhd.center != center:
+        raise InputError("neighborhood was built for a different center")
+    if not nbhd.members:
+        return None
+    locs = cloud.locs()
+    members = _location_order(locs, sorted(nbhd.members))
+    return _vote(locs, center, members, params.rel_bins)
+
+
+# ----------------------------------------------------------------------------
+# Stop test with one segment sampled at a time
+
+
+def check_stopping(cloud: PointCloud, group, limits: StoppingLimits,
+                   thresh: float | None = None, sampling_step: float = 0.5) -> StopCheck:
+    """``lcuts.engine.check_stopping`` with the intensity test written as a
+    loop over consecutive nodes that stops at the first dark segment."""
+    ids = sorted(group)
+    if len(ids) < limits.min_group_size:
+        return StopCheck(Decision.OUTLIER)
+    if len(ids) == 1:
+        return StopCheck(Decision.ACCEPT)
+
+    locs = cloud.locs()
+    fit = fit_line(locs[ids])
+    if fit.extent > limits.size_limit:
+        return StopCheck(Decision.RECURSE)
+
+    linear = fit.std <= limits.std_limit
+    if linear and limits.check_eccentricity and len(ids) > 3:
+        linear = fit.eccentricity >= limits.ecc_limit
+    if linear and limits.check_intensity and cloud.image is not None and thresh is not None:
+        proj = (locs[ids] - fit.centroid) @ fit.axis
+        along = [ids[k] for k in np.lexsort((ids, proj))]
+        for u, v in zip(along, along[1:]):
+            if segment_min_scalar(cloud.image, locs[u], locs[v], sampling_step) <= thresh:
+                linear = False
+                break
+
+    if linear:
+        return StopCheck(Decision.ACCEPT)
+    if len(ids) <= 2:
+        return StopCheck(Decision.ACCEPT, forced=True)
+    return StopCheck(Decision.RECURSE)

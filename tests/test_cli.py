@@ -252,12 +252,9 @@ def test_full_loop_deterministic(tmp_path):
     assert artifacts[0] == artifacts[1]
 
 
-@pytest.mark.parametrize("key", ["gaussianSigma", "backgroundRadius", "minSeparation",
-                                 "minNeighborDist", "detectionFloor", "sizeLimit",
-                                 "stdLimit"])
-def test_nan_parameter_is_an_input_error(tmp_path, capsys, key):
-    cfg = tmp_path / "nan.cfg"
-    write_spec(cfg, **{key: "nan"})
+def assert_extract_rejects(tmp_path, capsys, key, value):
+    cfg = tmp_path / "bad.cfg"
+    write_spec(cfg, **{key: value})
     img = tmp_path / "img.csv"
     img.write_text("0.1,0.2,0.3\n0.4,0.5,0.6\n")
     assert cli.main(["--config", str(cfg), "--quiet", "extract",
@@ -265,3 +262,16 @@ def test_nan_parameter_is_an_input_error(tmp_path, capsys, key):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
     assert not (tmp_path / "found.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["gaussianSigma", "backgroundRadius", "minSeparation",
+                                 "minNeighborDist", "detectionFloor", "sizeLimit",
+                                 "stdLimit"])
+def test_nan_parameter_is_an_input_error(tmp_path, capsys, key):
+    assert_extract_rejects(tmp_path, capsys, key, "nan")
+
+
+@pytest.mark.parametrize("key", ["gaussianSigma", "backgroundRadius", "minSeparation",
+                                 "minNeighborDist", "detectionFloor"])
+def test_infinite_pipeline_parameter_is_an_input_error(tmp_path, capsys, key):
+    assert_extract_rejects(tmp_path, capsys, key, "inf")

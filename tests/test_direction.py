@@ -3,10 +3,10 @@ from collections import deque
 import numpy as np
 import pytest
 
-from lcuts.direction import (Neighborhood, VotingParams, assign_all_directions,
-                             estimate_direction, hop_neighborhood)
+from lcuts.direction import VotingParams, assign_all_directions
 from lcuts.errors import InputError
 from lcuts.geometry import Node, PointCloud
+from oracles import Neighborhood, estimate_direction, hop_neighborhood
 
 
 def make_cloud(pts, dim=2):

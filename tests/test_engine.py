@@ -10,6 +10,7 @@ from lcuts.metrics import evaluate
 from lcuts.raster import RasterImage
 from lcuts.spectral import ncut_bipartition
 from lcuts.synth import SynthSpec, generate_cloud, generate_image
+import oracles
 from test_acceptance import fuzz_cloud
 
 
@@ -81,6 +82,35 @@ def test_check_stopping_intensity_gap_recurses():
     assert check.decision is Decision.RECURSE
     relaxed = StoppingLimits(check_intensity=False)
     assert check_stopping(cloud, [0, 1, 2, 3], relaxed, thresh=0.25).decision is Decision.ACCEPT
+
+
+def test_check_stopping_matches_scalar_loop_on_image_groups():
+    # one batched sampler call must decide exactly as the loop that samples
+    # one segment at a time and stops at the first dark one
+    rng = np.random.default_rng(23)
+    loose = StoppingLimits(size_limit=1e9, std_limit=1e9, check_eccentricity=False)
+    seen = set()
+    for seed in (3, 4):
+        spec = SynthSpec(dim=2, n_rods=8, crossings=3, intensity_valley=0.7, seed=seed)
+        _, cloud, _ = generate_image(spec)
+        locs = cloud.locs()
+        base = intensity_threshold(cloud)
+        for _ in range(120):
+            size = int(rng.integers(2, 14))
+            if rng.random() < 0.7:  # a nearby group, as the recursion meets them
+                center = locs[rng.integers(len(cloud))]
+                group = np.argsort(((locs - center) ** 2).sum(axis=1))[:size]
+            else:
+                group = rng.choice(len(cloud), size=size, replace=False)
+            thresh = base if rng.random() < 0.5 else float(rng.uniform(0.0, 1.0))
+            step = float(rng.choice([0.25, 0.5, 1.0]))
+            for limits in (StoppingLimits(), loose):
+                got = check_stopping(cloud, group.tolist(), limits, thresh, step)
+                assert got == oracles.check_stopping(cloud, group.tolist(), limits, thresh, step)
+                if limits is loose:
+                    seen.add((got.decision, got.forced))
+    # under the loose limits only the intensity test decides, both ways
+    assert {(Decision.ACCEPT, False), (Decision.RECURSE, False)} <= seen
 
 
 def test_lcuts_chain_single_group():

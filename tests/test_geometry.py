@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from lcuts.errors import DegenerateInputError, DimensionMismatchError, InputError
-from lcuts.geometry import Node, PointCloud, eccentricity, fit_line, pairwise_distance
+from lcuts.geometry import Node, PointCloud, fit_line
+from oracles import pairwise_distance
 
 
 def svd_line(pts):
@@ -87,21 +88,23 @@ def test_fit_line_errors():
 
 
 def test_eccentricity_square_and_line():
-    assert eccentricity([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]) == pytest.approx(0.0, abs=1e-12)
-    assert eccentricity([(0.0, 0.0), (5.0, 5.0), (9.0, 9.0)]) == pytest.approx(1.0, abs=1e-12)
+    square = fit_line([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
+    assert square.eccentricity == pytest.approx(0.0, abs=1e-12)
+    line = fit_line([(0.0, 0.0), (5.0, 5.0), (9.0, 9.0)])
+    assert line.eccentricity == pytest.approx(1.0, abs=1e-12)
 
 
 def test_eccentricity_four_to_one_moments():
     # x-moment 2, y-moment 0.5: sqrt(1 - 1/4)
     pts = [(2.0, 0.0), (-2.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
-    assert eccentricity(pts) == pytest.approx(np.sqrt(0.75), abs=1e-12)
+    assert fit_line(pts).eccentricity == pytest.approx(np.sqrt(0.75), abs=1e-12)
 
 
 def test_eccentricity_scale_invariant():
     rng = np.random.default_rng(8)
     pts = rng.normal(0, 3.0, size=(30, 2))
-    e = eccentricity(pts)
-    assert eccentricity(pts * 17.5) == pytest.approx(e, abs=1e-9)
+    e = fit_line(pts).eccentricity
+    assert fit_line(pts * 17.5).eccentricity == pytest.approx(e, abs=1e-9)
     assert 0.0 <= e <= 1.0
 
 

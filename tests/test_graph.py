@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from lcuts.direction import VotingParams, assign_all_directions, hop_neighborhood
+from lcuts.direction import VotingParams, assign_all_directions
 from lcuts.errors import InputError, MissingDataError
-from lcuts.geometry import Node, PointCloud, pairwise_distance
+from lcuts.geometry import Node, PointCloud
 from lcuts.graph import (GraphParams, WeightedGraph, build_adjacency,
-                         intensity_threshold, segment_min_intensity,
-                         weight_direction, weight_distance, weight_intensity)
+                         intensity_threshold, segment_min_intensity)
 from lcuts.raster import RasterImage, bilinear_sample
 from lcuts.synth import SynthSpec, generate_image
+from oracles import (hop_neighborhood, pairwise_distance, segment_min_scalar,
+                     weight_direction, weight_distance, weight_intensity)
 
 PARAMS = GraphParams()
 
@@ -99,9 +100,40 @@ def test_weight_intensity_requires_image():
 
 def test_segment_min_intensity_endpoints_included():
     img = gap_image()
-    assert segment_min_intensity(img, (5.0, 2.0), (5.0, 8.0), 0.5) == pytest.approx(0.1, abs=1e-12)
-    # a two-sample degenerate segment still works
-    assert segment_min_intensity(img, (1.0, 1.0), (1.0, 1.2), 0.5) == pytest.approx(0.8, abs=1e-12)
+    # the second is a two-sample degenerate segment
+    got = segment_min_intensity(img, np.array([[5.0, 2.0], [1.0, 1.0]]),
+                                np.array([[5.0, 8.0], [1.0, 1.2]]), 0.5)
+    assert got.shape == (2,)
+    assert got == pytest.approx([0.1, 0.8], abs=1e-12)
+
+
+def test_segment_min_intensity_matches_scalar_oracle():
+    # the batched sampler must reproduce the one-segment oracle bit for bit
+    rng = np.random.default_rng(17)
+    h, w = 23, 31
+    img = RasterImage(rng.uniform(0.0, 1.0, size=(h, w)))
+    hi = np.array([w - 1.0, h - 1.0])
+    p = rng.uniform(0.0, hi, size=(400, 2))
+    q = rng.uniform(0.0, hi, size=(400, 2))
+    q[:40, 0] = w - 1.0                   # ends on the last column
+    q[40:80, 1] = h - 1.0                 # ends on the last row
+    q[80:90] = hi                         # ends on the far corner
+    p[90:100] = hi                        # starts there
+    q[100:130] = p[100:130]               # zero length
+    # integer starts and offsets of (3k, 4k) / 2, 5k / 2 px long: exact
+    # multiples of a 0.5 or 0.25 px step
+    k = rng.integers(1, 4, size=(60, 1))
+    p[130:190] = rng.integers(0, 12, size=(60, 2))
+    q[130:190] = p[130:190] + k * np.array([1.5, 2.0])
+    q[190:200] = p[190:200] + k[:10] * np.array([0.5, 0.0])
+    p[200:400:2], q[200:400:2] = q[200:400:2].copy(), p[200:400:2].copy()
+    assert (p >= 0).all() and (q >= 0).all() and (p <= hi).all() and (q <= hi).all()
+    for step in (0.5, 0.25, 0.3, 1.0, 7.0):
+        got = segment_min_intensity(img, p, q, step)
+        expected = [segment_min_scalar(img, a, b, step) for a, b in zip(p, q)]
+        assert got.shape == (len(p),)
+        assert (got == np.array(expected)).all(), step
+    assert segment_min_intensity(img, np.zeros((0, 2)), np.zeros((0, 2)), 0.5).shape == (0,)
 
 
 def test_build_adjacency_zero_beyond_cutoff():

@@ -202,6 +202,22 @@ def test_config_echo_complete(tmp_path):
     assert Config.from_file(path).echo() == echo
 
 
+def test_config_echo_follows_each_key(tmp_path):
+    # every key echoes its own non-default value, in the table's order
+    pairs = [("hops", 5), ("hopRadius", 6.5), ("nRelBins", 3), ("r", 55.0),
+             ("sigmaD", 9.0), ("sigmaT", 0.4), ("intensitySamplingStep", 0.25),
+             ("sizeLimit", 70.0), ("eccLimit", 0.8), ("stdLimit", 3.0),
+             ("minGroupSize", 3), ("checkIntensity", False), ("checkEccentricity", False),
+             ("gaussianSigma", 1.25), ("backgroundRadius", 12.0), ("maximaWindow", 5),
+             ("minSeparation", 2.5), ("minNeighborDist", 6.0), ("detectionFloor", 0.1),
+             ("overlapFrac", 0.6)]
+    path = tmp_path / "all.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in reversed(pairs)))
+    echo = Config.from_file(path).echo()
+    assert list(echo.items()) == pairs
+    assert [type(v) for v in echo.values()] == [type(v) for _, v in pairs]
+
+
 def test_config_errors(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("warpFactor = 9\n")

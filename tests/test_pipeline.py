@@ -300,8 +300,8 @@ def test_extract_nodes_weak_link_across_gap():
     # two collinear blob chains separated by a dark 9px gap: distance and
     # direction alone would still connect them, the intensity factor must not
     from lcuts.direction import VotingParams, assign_all_directions
-    from lcuts.graph import (GraphParams, build_adjacency, intensity_threshold,
-                             weight_distance)
+    from lcuts.graph import GraphParams, build_adjacency, intensity_threshold
+    from oracles import weight_distance
 
     px = np.full((41, 81), 0.05)
     yy, xx = np.mgrid[0:41, 0:81]
@@ -341,8 +341,9 @@ def test_pipeline_params_validation():
         PipelineParams(min_separation=-1.0)
     for name in ("gaussian_sigma", "background_radius", "min_separation",
                  "min_neighbor_dist", "detection_floor"):
-        with pytest.raises(InputError):
-            PipelineParams(**{name: float("nan")})
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(InputError):
+                PipelineParams(**{name: value})
     img = RasterImage(np.full((5, 5), 0.5))
     with pytest.raises(InputError):
         gaussian_filter(img, float("nan"))

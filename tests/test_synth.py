@@ -3,10 +3,11 @@ import pytest
 
 from lcuts.errors import InputError
 from lcuts.geometry import fit_line
-from lcuts.graph import GraphParams, intensity_threshold, weight_intensity
+from lcuts.graph import GraphParams, intensity_threshold
 from lcuts.raster import bilinear_sample
 from lcuts.synth import (SynthSpec, canvas_side, generate_cloud, generate_image,
                          segment_distance)
+from oracles import weight_intensity
 
 
 def test_spec_validation():

@@ -37,8 +37,9 @@ class VotingParams:
     def __post_init__(self) -> None:
         if self.hops < 1:
             raise InputError(f"hops must be >= 1, got {self.hops}")
-        if not self.hop_radius > 0:
-            raise InputError(f"hopRadius must be > 0, got {self.hop_radius}")
+        # An infinite reach asks radius_pairs for every pair.
+        if not 0 < self.hop_radius < np.inf:
+            raise InputError(f"hopRadius must be finite and > 0, got {self.hop_radius}")
         if self.n_rel_bins is not None and self.n_rel_bins < 1:
             raise InputError(f"nRelBins must be >= 1, got {self.n_rel_bins}")
 

@@ -7,10 +7,11 @@ is bound, no intensity valley between consecutive nodes along the axis.
 Groups that are too long to be a single object are always split first.
 
 The affinity is zero beyond ``r``, so the graph falls apart into connected
-components, found once for the cloud and once per side of a spectral split.
-Dead nodes are the singleton components, a group of several components is
-split by peeling whole ones off, and only a connected group is restricted to
-a dense block for the Fiedler sweep.
+components, found once for the cloud and once per side of a spectral split,
+each time from one sparse copy of the matrix. Dead nodes are the singleton
+components, a group of several components is split by peeling whole ones
+off, and only a connected group is restricted to a dense block for the
+Fiedler sweep.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from enum import Enum
 from itertools import chain
 
 import numpy as np
+from scipy import sparse
 
 from .direction import VotingParams, assign_all_directions
 from .errors import InputError
@@ -90,7 +92,14 @@ class ClusterResult:
     per_group: list[LineFit | None]    # aligned with groups; None for 1-node groups
     forced: list[bool]                 # aligned with groups: accepted with a warning
     tree: TreeNode | None
-    graph: WeightedGraph               # the affinity matrix the clustering used
+    work_graph: WeightedGraph          # the affinity matrix the clustering used, working order
+    rank: np.ndarray                   # caller id -> row of work_graph
+
+    @property
+    def graph(self) -> WeightedGraph:
+        """The affinity matrix the clustering used, in the caller's node
+        order. Each read builds a new N x N copy."""
+        return self.work_graph.restrict(self.rank)
 
     def group_sets(self) -> list[set[int]]:
         return [set(g) for g in self.groups]
@@ -139,14 +148,16 @@ def lcuts(cloud: PointCloud, gparams: GraphParams | None = None,
     Directions are estimated once and the affinity matrix is built once.
     Zero-degree nodes of a group are stripped to outliers before any split;
     the recursion restricts the matrix only for a spectral split. The result
-    carries that matrix, in the caller's node order.
+    carries that matrix in working order, with the permutation back to the
+    caller's order.
     """
     gparams = gparams or GraphParams()
     vparams = vparams or VotingParams()
     limits = limits or StoppingLimits()
 
     if len(cloud) == 0:
-        return ClusterResult([], [], [], [], None, WeightedGraph(np.zeros((0, 0))))
+        return ClusterResult([], [], [], [], None, WeightedGraph(np.zeros((0, 0))),
+                             np.zeros(0, dtype=np.int64))
 
     # Work in location-sorted order: ties and rounding then resolve the same
     # way no matter how the caller happened to label the nodes.
@@ -169,7 +180,8 @@ def lcuts(cloud: PointCloud, gparams: GraphParams | None = None,
     outliers: list[int] = []
     root = TreeNode(ids=list(range(len(work))))
     # Each entry carries the connected components of its node's ids.
-    stack = [(root, components(graph.weights))]
+    csr = sparse.csr_matrix(graph.weights)
+    stack = [(root, components(csr))]
     while stack:
         node, comps = stack.pop()
         ids = node.ids
@@ -202,9 +214,9 @@ def lcuts(cloud: PointCloud, gparams: GraphParams | None = None,
                 part = ncut_bipartition(sub)
                 node.ncut = part.ncut
                 sides = []
-                for half in (sorted(part.group_a), sorted(part.group_b)):
-                    half_comps = components(sub.weights[np.ix_(half, half)])
-                    sides.append([[ids[half[k]] for k in c] for c in half_comps])
+                for half in (part.group_a, part.group_b):
+                    sel = sorted(ids[k] for k in half)
+                    sides.append([[sel[k] for k in c] for c in components(csr[sel][:, sel])])
         kids = [TreeNode(ids=sorted(chain(*side))) for side in sides]
         node.children.extend(kids)
         stack.extend(reversed(list(zip(kids, sides))))
@@ -223,6 +235,5 @@ def lcuts(cloud: PointCloud, gparams: GraphParams | None = None,
     groups, forced_flags = [g for g, _ in ordered], [f for _, f in ordered]
     locs = cloud.locs()
     fits: list[LineFit | None] = [fit_line(locs[g]) if len(g) >= 2 else None for g in groups]
-    rank = np.argsort(back)  # caller id -> working id
     return ClusterResult(groups, sorted(outliers), fits, forced_flags, root,
-                         graph.restrict(rank))
+                         graph, np.argsort(back))

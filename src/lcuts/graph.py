@@ -38,7 +38,11 @@ class GraphParams:
     intensity_sampling_step: float = 0.5   # segment sampling stride, pixels
 
     def __post_init__(self) -> None:
-        for name in ("r", "sigma_d", "sigma_t", "intensity_sampling_step"):
+        # Written as "not 0 < x < inf" so that NaN fails too. An infinite r
+        # asks radius_pairs for every pair.
+        if not 0 < self.r < np.inf:
+            raise InputError(f"r must be finite and > 0, got {self.r}")
+        for name in ("sigma_d", "sigma_t", "intensity_sampling_step"):
             if not getattr(self, name) > 0:
                 raise InputError(f"{name} must be > 0, got {getattr(self, name)}")
 

@@ -78,10 +78,11 @@ def _match(pred: list[set[int]], truth: list[set[int]]) -> list[tuple[int, int, 
         raise InputError("pred and truth must cover the same node ids")
     if not pred or not truth:
         return []
+    # overlap[i, j] counts the nodes of truth group j that pred group i holds.
+    pred_of = {v: i for i, g in enumerate(pred) for v in g}
     overlap = np.zeros((len(pred), len(truth)), dtype=np.int64)
-    for i, pg in enumerate(pred):
-        for j, tg in enumerate(truth):
-            overlap[i, j] = len(pg & tg)
+    np.add.at(overlap, ([pred_of[v] for g in truth for v in g],
+                        np.repeat(np.arange(len(truth)), [len(g) for g in truth])), 1)
     rows, cols = linear_sum_assignment(overlap, maximize=True)
     matches = [
         (int(i), int(j), int(overlap[i, j]))

@@ -70,8 +70,8 @@ def smallest_eigenpairs(matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def components(w) -> list[list[int]]:
-    """Connected components of the nonzero-weight graph of a dense weight
-    matrix, each sorted, ordered by their smallest member."""
+    """Connected components of the nonzero-weight graph of a dense or sparse
+    weight matrix, each sorted, ordered by their smallest member."""
     _, labels = connected_components(sparse.csr_matrix(w), directed=False)
     members = np.argsort(labels, kind="stable")
     comps = [c.tolist() for c in np.split(members, np.cumsum(np.bincount(labels))[:-1])]

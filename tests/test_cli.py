@@ -275,3 +275,103 @@ def test_nan_parameter_is_an_input_error(tmp_path, capsys, key):
                                  "minNeighborDist", "detectionFloor"])
 def test_infinite_pipeline_parameter_is_an_input_error(tmp_path, capsys, key):
     assert_extract_rejects(tmp_path, capsys, key, "inf")
+
+
+@pytest.mark.parametrize("key", ["r", "hopRadius"])
+def test_infinite_reach_is_an_input_error(tmp_path, capsys, key):
+    spec = tmp_path / "spec.cfg"
+    write_spec(spec, dim=2, nRods=4, seed=3)
+    assert cli.main(["--quiet", "synth", str(spec), str(tmp_path / "c")]) == 0
+    cfg = tmp_path / "bad.cfg"
+    write_spec(cfg, **{key: "inf"})
+    assert cli.main(["--config", str(cfg), "--quiet", "cluster",
+                     str(tmp_path / "c.csv"), str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{key} must be finite and > 0" in err
+    assert not (tmp_path / "out.json").exists()
+
+
+TEXT_POOL = ["", "a", "id", "é", "∑", "\U0001f600", "\x00", "\x1f", "\x7f", "\n", "\t",
+             '"', "\\", "/", " ", "\u2028", "\ud800"]
+
+
+def random_text(rng):
+    return "".join(TEXT_POOL[k] for k in rng.integers(0, len(TEXT_POOL), rng.integers(0, 6)))
+
+
+def random_scalar(rng):
+    kind = rng.integers(0, 9)
+    if kind == 0:
+        return int(rng.integers(-1000, 1000))
+    if kind == 1:
+        return int(rng.choice([-1, 1])) * 2 ** int(rng.integers(60, 80)) + int(rng.integers(0, 9))
+    if kind == 2:
+        return float(rng.normal() * 10.0 ** rng.integers(-20, 20))
+    if kind == 3:
+        return [-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 1e16, 5e-324][rng.integers(0, 7)]
+    if kind == 4:
+        return np.float64(rng.uniform(-1e3, 1e3))
+    if kind == 5:
+        return random_text(rng)
+    return [True, False, None][kind - 6]
+
+
+def random_key(rng):
+    # json writes int, float, bool and None keys as strings too.
+    return random_scalar(rng) if rng.random() < 0.1 else random_text(rng)
+
+
+def random_doc(rng, depth):
+    kind = rng.integers(0, 9 if depth > 0 else 4)
+    if kind <= 1:
+        return random_scalar(rng)
+    if kind == 2:
+        ints = [int(v) for v in rng.integers(-2 ** 40, 2 ** 40, rng.integers(0, 8))]
+        if ints and rng.random() < 0.3:
+            ints.insert(int(rng.integers(0, len(ints))), bool(rng.random() < 0.5))
+        return ints
+    if kind == 3:
+        return [[], {}, ()][rng.integers(0, 3)]
+    if kind <= 5:
+        items = [random_doc(rng, depth - 1) for _ in range(rng.integers(1, 5))]
+        return tuple(items) if kind == 5 else items
+    return {random_key(rng): random_doc(rng, depth - 1) for _ in range(rng.integers(1, 5))}
+
+
+def test_writer_matches_json_on_random_documents():
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        doc = random_doc(rng, int(rng.integers(0, 6)))
+        assert cli._dumps(doc) == json.dumps(doc, indent=2)
+    deep = [1, 2]
+    for level in range(64):
+        deep = {"ids": [level], "ncut": None, "children": [deep, []]} if level % 2 else [deep]
+    assert cli._dumps(deep) == json.dumps(deep, indent=2)
+
+
+def test_writer_matches_json_on_fuzz_corpus_results(monkeypatch):
+    # Replays criterion 09's corpus draw for draw and writes every cloud's
+    # cluster JSON; the writer sees the document itself, numpy floats included.
+    from lcuts.config import Config
+    from lcuts.engine import lcuts
+    from test_acceptance import fuzz_cloud
+
+    docs = []
+    write = cli._dumps
+    monkeypatch.setattr(cli, "_dumps", lambda doc: docs.append(doc) or write(doc))
+    cfg = Config.default()
+    rng = np.random.default_rng(3)
+    for t in range(500):
+        cloud = fuzz_cloud(t, rng)
+        if t % 10 == 0 and len(cloud) > 1:
+            rng.permutation(len(cloud))
+        text = cli._result_json(lcuts(cloud), cloud, cfg)
+        assert text == json.dumps(docs[-1], indent=2), f"trial {t}"
+
+
+def test_writer_rejects_what_json_rejects():
+    for doc in (np.int64(3), [1, np.int64(2)], {"a": [np.int32(1)]}, {(1, 2): 0}, {1.5, 2.5}):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2)
+        with pytest.raises(TypeError):
+            cli._dumps(doc)

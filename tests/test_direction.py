@@ -159,6 +159,8 @@ def test_voting_params_validation():
     with pytest.raises(InputError):
         VotingParams(hop_radius=-1.0)
     with pytest.raises(InputError):
+        VotingParams(hop_radius=float("inf"))
+    with pytest.raises(InputError):
         VotingParams(n_rel_bins=0)
     assert VotingParams(hops=6).rel_bins == 6
     assert VotingParams(hops=4, n_rel_bins=9).rel_bins == 9

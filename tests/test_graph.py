@@ -247,6 +247,8 @@ def test_graph_params_validation():
     with pytest.raises(InputError):
         GraphParams(r=0.0)
     with pytest.raises(InputError):
+        GraphParams(r=float("inf"))
+    with pytest.raises(InputError):
         GraphParams(sigma_d=-1.0)
     with pytest.raises(InputError):
         GraphParams(intensity_sampling_step=0.0)

@@ -66,6 +66,7 @@ def test_match_clusters_vs_permutation_oracle():
         assert len({i for i, _, _ in matches}) == len(matches)
         assert len({j for _, j, _ in matches}) == len(matches)
         assert all(ov > 0 for _, _, ov in matches)
+        assert all(ov == overlap[i, j] for i, j, ov in matches)
 
 
 def test_grouping_accuracy_perfect():

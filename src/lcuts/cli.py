@@ -13,7 +13,6 @@ import functools
 import json
 import logging
 import sys
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -34,67 +33,6 @@ log = logging.getLogger("lcuts")
 
 def _load_config(path: str | None) -> Config:
     return Config.from_file(path) if path else Config.default()
-
-
-def _atom(o) -> str:
-    """The JSON text of a scalar, as ``json.dumps`` writes it."""
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        if o == np.inf:
-            return "Infinity"
-        if o == -np.inf:
-            return "-Infinity"
-        return float.__repr__(o)
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-
-def _emit(o, nl: str, out) -> None:
-    """Append the text of ``o`` to ``out``; ``nl`` is the newline and indent of its line."""
-    inner = nl + "  "
-    if isinstance(o, (list, tuple)):
-        if not o:
-            out("[]")
-        elif all(type(x) is int for x in o):
-            out("[" + inner + ("," + inner).join(map(int.__repr__, o)) + nl + "]")
-        else:
-            sep = "[" + inner
-            for x in o:
-                out(sep)
-                _emit(x, inner, out)
-                sep = "," + inner
-            out(nl + "]")
-    elif isinstance(o, dict):
-        if not o:
-            out("{}")
-            return
-        sep = "{" + inner
-        for k, v in o.items():
-            out(sep + encode_basestring_ascii(k if isinstance(k, str) else _atom(k)) + ": ")
-            _emit(v, inner, out)
-            sep = "," + inner
-        out(nl + "}")
-    else:
-        out(_atom(o))
-
-
-def _dumps(doc) -> str:
-    """``json.dumps(doc, indent=2)``, byte for byte, without its per-item
-    generator steps: passing ``indent`` makes ``json`` use its pure-Python
-    encoder, and the recursion tree holds hundreds of thousands of ids."""
-    parts: list[str] = []
-    _emit(doc, "\n", parts.append)
-    return "".join(parts)
 
 
 def _result_json(result: ClusterResult, cloud: PointCloud, cfg: Config) -> str:
@@ -129,7 +67,7 @@ def _result_json(result: ClusterResult, cloud: PointCloud, cfg: Config) -> str:
         "nodes": nodes,
         "tree": None if result.tree is None else result.tree.to_dict(),
     }
-    return _dumps(doc)
+    return json.dumps(doc)
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
@@ -190,7 +128,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         report = evaluate(pred, truth, cfg.overlap_frac)
     except InputError as exc:
         raise InputError(f"prediction/truth mismatch: {exc}") from exc
-    Path(args.out).write_text(_dumps(report.to_dict()), encoding="utf-8")
+    Path(args.out).write_text(json.dumps(report.to_dict(), indent=2), encoding="utf-8")
     if not args.quiet:
         print(f"gacc={report.gacc} cacc={report.cacc}")
     return 0

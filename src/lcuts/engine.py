@@ -7,11 +7,11 @@ is bound, no intensity valley between consecutive nodes along the axis.
 Groups that are too long to be a single object are always split first.
 
 The affinity is zero beyond ``r``, so the graph falls apart into connected
-components, found once for the cloud and once per side of a spectral split,
-each time from one sparse copy of the matrix. Dead nodes are the singleton
-components, a group of several components is split by peeling whole ones
-off, and only a connected group is restricted to a dense block for the
-Fiedler sweep.
+components, found once for the cloud and once per spectral split (both
+sides at once, with the cut edges dropped), each time from one sparse copy
+of the matrix. Dead nodes are the singleton components, a group of several
+components is split by peeling whole ones off, and only a connected group
+is restricted to a dense block for the Fiedler sweep.
 """
 
 from __future__ import annotations
@@ -213,10 +213,16 @@ def lcuts(cloud: PointCloud, gparams: GraphParams | None = None,
                 sub = graph.restrict(ids)
                 part = ncut_bipartition(sub)
                 node.ncut = part.ncut
-                sides = []
-                for half in (part.group_a, part.group_b):
-                    sel = sorted(ids[k] for k in half)
-                    sides.append([[sel[k] for k in c] for c in components(csr[sel][:, sel])])
+                # One component search for both sides: drop the cut edges,
+                # and each component then lies within one side.
+                half = np.zeros(len(ids), dtype=np.int8)
+                half[list(part.group_b)] = 1
+                blk = csr[ids][:, ids]
+                blk.data[np.repeat(half, np.diff(blk.indptr)) != half[blk.indices]] = 0.0
+                blk.eliminate_zeros()
+                sides = [[], []]
+                for c in components(blk):
+                    sides[half[c[0]]].append([ids[k] for k in c])
         kids = [TreeNode(ids=sorted(chain(*side))) for side in sides]
         node.children.extend(kids)
         stack.extend(reversed(list(zip(kids, sides))))

@@ -218,8 +218,10 @@ def read_cloud_csv(path: str | Path) -> tuple[PointCloud, list[set[int]] | None]
         raise InputError(f"{path}: {exc}") from exc
     groups = None
     if has_group:
-        groups = [set(np.nonzero(np.asarray(labels) == lab)[0].tolist())
-                  for lab in sorted(set(labels))]
+        members: dict[int, set[int]] = {}
+        for nid, lab in enumerate(labels):
+            members.setdefault(lab, set()).add(nid)
+        groups = [members[lab] for lab in sorted(members)]
     return cloud, groups
 
 

@@ -68,7 +68,10 @@ def test_cluster_single_rod(tmp_path):
     run_cli("synth", spec, tmp_path / "rod")
     res = run_cli("--quiet", "cluster", tmp_path / "rod.csv", tmp_path / "out.json")
     assert res.returncode == 0
-    doc = json.loads((tmp_path / "out.json").read_text())
+    text = (tmp_path / "out.json").read_text()
+    # One line, as json.dumps writes it with its default separators.
+    assert "\n" not in text and text == json.dumps(json.loads(text))
+    doc = json.loads(text)
     assert set(doc) == {"params", "n", "dim", "groups", "outliers",
                         "perGroup", "forced", "nodes", "tree"}
     assert doc["dim"] == 2
@@ -135,7 +138,9 @@ def test_evaluate_perfect(tmp_path):
                   tmp_path / "m.json")
     assert res.returncode == 0
     assert "gacc=1.0 cacc=1.0" in res.stdout
-    report = json.loads((tmp_path / "m.json").read_text())
+    text = (tmp_path / "m.json").read_text()
+    assert text == json.dumps(json.loads(text), indent=2)
+    report = json.loads(text)
     assert report["gacc"] == 1.0 and report["cacc"] == 1.0
     assert set(report) == {"gacc", "cacc", "node", "cluster", "matches", "overlapFrac"}
 
@@ -291,74 +296,13 @@ def test_infinite_reach_is_an_input_error(tmp_path, capsys, key):
     assert not (tmp_path / "out.json").exists()
 
 
-TEXT_POOL = ["", "a", "id", "é", "∑", "\U0001f600", "\x00", "\x1f", "\x7f", "\n", "\t",
-             '"', "\\", "/", " ", "\u2028", "\ud800"]
-
-
-def random_text(rng):
-    return "".join(TEXT_POOL[k] for k in rng.integers(0, len(TEXT_POOL), rng.integers(0, 6)))
-
-
-def random_scalar(rng):
-    kind = rng.integers(0, 9)
-    if kind == 0:
-        return int(rng.integers(-1000, 1000))
-    if kind == 1:
-        return int(rng.choice([-1, 1])) * 2 ** int(rng.integers(60, 80)) + int(rng.integers(0, 9))
-    if kind == 2:
-        return float(rng.normal() * 10.0 ** rng.integers(-20, 20))
-    if kind == 3:
-        return [-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 1e16, 5e-324][rng.integers(0, 7)]
-    if kind == 4:
-        return np.float64(rng.uniform(-1e3, 1e3))
-    if kind == 5:
-        return random_text(rng)
-    return [True, False, None][kind - 6]
-
-
-def random_key(rng):
-    # json writes int, float, bool and None keys as strings too.
-    return random_scalar(rng) if rng.random() < 0.1 else random_text(rng)
-
-
-def random_doc(rng, depth):
-    kind = rng.integers(0, 9 if depth > 0 else 4)
-    if kind <= 1:
-        return random_scalar(rng)
-    if kind == 2:
-        ints = [int(v) for v in rng.integers(-2 ** 40, 2 ** 40, rng.integers(0, 8))]
-        if ints and rng.random() < 0.3:
-            ints.insert(int(rng.integers(0, len(ints))), bool(rng.random() < 0.5))
-        return ints
-    if kind == 3:
-        return [[], {}, ()][rng.integers(0, 3)]
-    if kind <= 5:
-        items = [random_doc(rng, depth - 1) for _ in range(rng.integers(1, 5))]
-        return tuple(items) if kind == 5 else items
-    return {random_key(rng): random_doc(rng, depth - 1) for _ in range(rng.integers(1, 5))}
-
-
-def test_writer_matches_json_on_random_documents():
-    rng = np.random.default_rng(17)
-    for _ in range(300):
-        doc = random_doc(rng, int(rng.integers(0, 6)))
-        assert cli._dumps(doc) == json.dumps(doc, indent=2)
-    deep = [1, 2]
-    for level in range(64):
-        deep = {"ids": [level], "ncut": None, "children": [deep, []]} if level % 2 else [deep]
-    assert cli._dumps(deep) == json.dumps(deep, indent=2)
-
-
-def test_writer_matches_json_on_fuzz_corpus_results(monkeypatch):
-    # Replays criterion 09's corpus draw for draw and writes every cloud's
-    # cluster JSON; the writer sees the document itself, numpy floats included.
+def test_cluster_json_round_trips_on_fuzz_corpus_results():
+    # Replays criterion 09's corpus draw for draw. json.dumps raises TypeError
+    # on a numpy integer, so none may reach the cluster JSON.
     from lcuts.config import Config
     from lcuts.engine import lcuts
     from test_acceptance import fuzz_cloud
 
-    docs = []
-    write = cli._dumps
-    monkeypatch.setattr(cli, "_dumps", lambda doc: docs.append(doc) or write(doc))
     cfg = Config.default()
     rng = np.random.default_rng(3)
     for t in range(500):
@@ -366,12 +310,4 @@ def test_writer_matches_json_on_fuzz_corpus_results(monkeypatch):
         if t % 10 == 0 and len(cloud) > 1:
             rng.permutation(len(cloud))
         text = cli._result_json(lcuts(cloud), cloud, cfg)
-        assert text == json.dumps(docs[-1], indent=2), f"trial {t}"
-
-
-def test_writer_rejects_what_json_rejects():
-    for doc in (np.int64(3), [1, np.int64(2)], {"a": [np.int32(1)]}, {(1, 2): 0}, {1.5, 2.5}):
-        with pytest.raises(TypeError):
-            json.dumps(doc, indent=2)
-        with pytest.raises(TypeError):
-            cli._dumps(doc)
+        assert text == json.dumps(json.loads(text)), f"trial {t}"

@@ -116,6 +116,16 @@ def test_cloud_csv_group_label_order(tmp_path):
     assert groups == [{1, 3}, {0, 2}]
     assert cloud.nodes[3].intensity is None
 
+    # Shuffled, non-contiguous and negative labels, against the per-label scan.
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        labels = rng.choice([-12, -1, 0, 4, 9, 250], size=int(rng.integers(1, 40))).tolist()
+        path.write_text("x,y,intensity,group\n"
+                        + "".join(f"{i}.0,0.0,0.5,{lab}\n" for i, lab in enumerate(labels)))
+        _, groups = read_cloud_csv(path)
+        assert groups == [set(np.nonzero(np.asarray(labels) == lab)[0].tolist())
+                          for lab in sorted(set(labels))]
+
 
 def test_cloud_csv_errors(tmp_path):
     path = tmp_path / "bad.csv"

@@ -9,9 +9,14 @@ Groups that are too long to be a single object are always split first.
 The affinity is zero beyond ``r``, so the graph falls apart into connected
 components, found once for the cloud and once per spectral split (both
 sides at once, with the cut edges dropped), each time from one sparse copy
-of the matrix. Dead nodes are the singleton components, a group of several
-components is split by peeling whole ones off, and only a connected group
-is restricted to a dense block for the Fiedler sweep.
+of the matrix. Connectivity counts only edges of weight >=
+``spectral.WEAK_LINK`` (1e-12): a lighter edge, such as any edge longer than
+52.6 px under the default ``sigmaD = 10``, is below what the dense
+eigensolver resolves, so a block joined only by such edges would get an
+arbitrary Fiedler split. Dead nodes are the singleton components, that is
+nodes with no link >= 1e-12 inside their group; a group of several
+components is split by peeling whole ones off (ncut 0.0), and only a
+connected group is restricted to a dense block for the Fiedler sweep.
 """
 
 from __future__ import annotations
@@ -146,10 +151,10 @@ def lcuts(cloud: PointCloud, gparams: GraphParams | None = None,
     """Cluster a point cloud into approximately collinear groups.
 
     Directions are estimated once and the affinity matrix is built once.
-    Zero-degree nodes of a group are stripped to outliers before any split;
-    the recursion restricts the matrix only for a spectral split. The result
-    carries that matrix in working order, with the permutation back to the
-    caller's order.
+    Nodes with no link >= ``WEAK_LINK`` inside their group are stripped to
+    outliers before any split; the recursion restricts the matrix only for
+    a spectral split. The result carries that matrix in working order, with
+    the permutation back to the caller's order.
     """
     gparams = gparams or GraphParams()
     vparams = vparams or VotingParams()
@@ -185,7 +190,8 @@ def lcuts(cloud: PointCloud, gparams: GraphParams | None = None,
     while stack:
         node, comps = stack.pop()
         ids = node.ids
-        # Zero-degree nodes are exactly the singleton components.
+        # Dead nodes, those without a link >= WEAK_LINK, are exactly the
+        # singleton components.
         stripped = [c[0] for c in comps if len(c) == 1] if len(ids) > 1 else []
         if stripped:
             node.decision = "strip"

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+from lcuts import spectral
 from lcuts.direction import VotingParams, assign_all_directions
 from lcuts.engine import Decision, StoppingLimits, check_stopping, lcuts
 from lcuts.errors import InputError
@@ -8,7 +10,7 @@ from lcuts.geometry import Node, PointCloud
 from lcuts.graph import GraphParams, WeightedGraph, build_adjacency, intensity_threshold
 from lcuts.metrics import evaluate
 from lcuts.raster import RasterImage
-from lcuts.spectral import ncut_bipartition
+from lcuts.spectral import WEAK_LINK, ncut_bipartition
 from lcuts.synth import SynthSpec, generate_cloud, generate_image
 import oracles
 from test_acceptance import fuzz_cloud
@@ -151,6 +153,33 @@ def test_lcuts_empty_and_singleton():
     assert res.groups == [] and res.outliers == [0]
 
 
+def test_lcuts_strips_node_with_only_weak_links():
+    # node 8 lies 55 and 60 px from the chain's end: both weights are below
+    # WEAK_LINK, so it is dead although its row is not zero
+    cloud = make_cloud([(5.0 * i, 0.0) for i in range(8)] + [(90.0, 0.0)])
+    res = lcuts(cloud)
+    assert 0.0 < res.graph.weights[8].max() < WEAK_LINK
+    assert res.groups == [list(range(8))]
+    assert res.outliers == [8]
+    assert res.tree.decision == "strip" and res.tree.stripped == [8]
+    assert [c.ids for c in res.tree.children] == [list(range(8))]
+
+
+def test_lcuts_tree_independent_of_eigensolver(monkeypatch):
+    # Blocks joined only by weak links peel, so no Fiedler vector is drawn
+    # from a near-null space and another LAPACK routine gives the same tree.
+    clouds = [generate_cloud(SynthSpec(dim=2, n_rods=60, seed=1))[0],
+              generate_cloud(SynthSpec(dim=3, n_rods=40, seed=1))[0]]
+    base = [lcuts(cloud) for cloud in clouds]
+    monkeypatch.setattr(spectral, "smallest_eigenpairs", lambda m, k: scipy.linalg.eigh(
+        m, subset_by_index=[0, k - 1], driver="evr"))
+    for cloud, want in zip(clouds, base):
+        got = lcuts(cloud)
+        assert got.tree.to_dict() == want.tree.to_dict()
+        assert got.groups == want.groups
+        assert got.outliers == want.outliers
+
+
 def test_lcuts_partition_property():
     spec = SynthSpec(dim=2, n_rods=8, seed=5)
     cloud, _ = generate_cloud(spec)
@@ -227,7 +256,7 @@ def reference_lcuts(cloud):
     def visit(ids):
         sub = w[np.ix_(ids, ids)]
         if len(ids) > 1:
-            dead = [ids[k] for k in np.nonzero(sub.sum(axis=1) == 0.0)[0]]
+            dead = [ids[k] for k in np.nonzero(~(sub >= WEAK_LINK).any(axis=1))[0]]
             if dead:
                 outliers.extend(dead)
                 rest = [i for i in ids if i not in dead]

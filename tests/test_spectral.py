@@ -2,10 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from lcuts.errors import DegenerateInputError, InputError
 from lcuts.graph import WeightedGraph
-from lcuts.spectral import components, ncut_bipartition, ncut_value, peel, smallest_eigenpairs
+from lcuts.spectral import WEAK_LINK, components, ncut_bipartition, ncut_value, peel, smallest_eigenpairs
 
 
 def graph_from(w):
@@ -135,11 +136,25 @@ def test_bipartition_disconnected():
     assert part.group_b == frozenset({2, 3, 4})
 
 
+def test_bipartition_peels_cliques_joined_below_weak_link():
+    part = ncut_bipartition(two_cliques(2, 3, inter=1e-13))
+    assert part.ncut == 0.0
+    assert part.group_a == frozenset({0, 1})
+    assert part.group_b == frozenset({2, 3, 4})
+
+
 def test_components_sorted_by_smallest_member():
     w = np.zeros((6, 6))
     for i, j in ((0, 4), (1, 2), (2, 5)):
         w[i, j] = w[j, i] = 0.5
     assert components(w) == [[0, 4], [1, 2, 5], [3]]
+
+
+def test_components_link_at_weak_link_and_above():
+    for weight, comps in ((1e-13, [[0], [1]]), (WEAK_LINK, [[0, 1]])):
+        w = np.array([[0.0, weight], [weight, 0.0]])
+        assert components(w) == comps
+        assert components(sparse.csr_matrix(w)) == comps
 
 
 def test_peel_smallest_component_against_rest():

@@ -6,6 +6,23 @@ center as a candidate axis, candidates vote for each other when their mutual
 angle falls into the first quantization bin, and the winners are averaged
 after sign alignment. Majority voting keeps junction nodes from blending the
 axes of two chains into a diagonal.
+
+All nodes vote in one batched pass. The members of every neighborhood come
+from one sparse hop-reach matrix, and one ``np.lexsort`` keyed on (center,
+coordinates) puts each neighborhood in location order, so relabeling the
+nodes cannot change a sum. Nodes with the same number of candidates then
+vote together on ``(B, m, dim)`` arrays: Gram matrix, ``|cos|``, ``arccos``
+against the first bin, counts, survivors, sign alignment, mean, norm and
+pivot sign.
+
+Exactness rule: each value comes from the numpy operation, on the same
+per-node shapes and in the same order, that a vote over one node at a time
+uses (``tests/oracles.py`` keeps that vote, and the tests demand bit
+equality with it). The Gram matrix and the sign test are batched matmuls,
+which run the same BLAS kernel per node; the survivors are summed in
+location order; and the mean's norm is a batched vector product, that is
+the BLAS dot of ``np.linalg.norm``, because ``sqrt((m * m).sum())`` differs
+from it in the last bit for about one node in twelve.
 """
 
 from __future__ import annotations
@@ -17,7 +34,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import InputError
-from .geometry import Node, PointCloud, radius_pairs
+from .geometry import PointCloud, radius_pairs, unchecked_cloud
 
 log = logging.getLogger(__name__)
 
@@ -64,46 +81,64 @@ def _hop_reach(locs: np.ndarray, params: VotingParams) -> sparse.csr_matrix:
     return reach
 
 
-def _members(reach: sparse.csr_matrix, center: int) -> list[int]:
-    row = reach.indices[reach.indptr[center]:reach.indptr[center + 1]]
-    return row[row != center].tolist()
+# Bound on the elements of one batch's (B, m, m) arrays, so that nodes with
+# large neighborhoods vote in chunks instead of all at once.
+_BATCH_ELEMENTS = 1 << 20
 
 
-def _vote(locs: np.ndarray, center: int, members: list[int], n_bins: int) -> np.ndarray | None:
-    offsets = locs[members] - locs[center]
-    norms = np.linalg.norm(offsets, axis=1)
-    keepable = norms > 0
-    if not keepable.all():
-        offsets, norms = offsets[keepable], norms[keepable]
-    if len(offsets) == 0:
-        return None
-    cand = offsets / norms[:, None]
-    cos = np.clip(np.abs(cand @ cand.T), 0.0, 1.0)
+def _vote_batch(cand: np.ndarray, n_bins: int) -> np.ndarray:
+    """Unit axes voted by B nodes from their (B, m, dim) unit candidates,
+    each node's candidates in location order."""
+    rows = np.arange(len(cand))
+    cos = np.clip(np.abs(cand @ cand.transpose(0, 2, 1)), 0.0, 1.0)
     phi = np.arccos(cos)
     bin_width = (np.pi / 2) / n_bins
     # Count, per candidate, how many others fall in the first angular bin.
-    first = phi < bin_width
-    counts = first.sum(axis=1) - 1  # the diagonal always votes for itself
-    kept = cand[counts == counts.max()]
-    ref = kept[0]
-    signs = np.where(kept @ ref < 0.0, -1.0, 1.0)
-    mean = (signs[:, None] * kept).sum(axis=0)
-    norm = float(np.linalg.norm(mean))
-    if norm < 1e-12:
-        # Perfectly antagonistic survivors; fall back to the reference candidate.
-        mean, norm = ref.copy(), 1.0
-    axis = mean / norm
+    counts = (phi < bin_width).sum(axis=2) - 1  # the diagonal always votes for itself
+    kept = counts == counts.max(axis=1, keepdims=True)
+    ref = cand[rows, kept.argmax(axis=1)]
+    signs = np.where((cand @ ref[:, :, None])[:, :, 0] < 0.0, -1.0, 1.0)
+    # Non-survivors add 0.0, which leaves a sum that starts at 0.0 unchanged:
+    # this is the survivors' sum in location order.
+    mean = np.where(kept[:, :, None], signs[:, :, None] * cand, 0.0).sum(axis=1)
+    norm = np.sqrt((mean[:, None, :] @ mean[:, :, None])[:, 0, 0])
+    # A vanishing mean falls back to the reference candidate. Sign-aligned
+    # survivors sum to at least the reference, so only zero candidates, which
+    # no cloud yields, get here; the fallback keeps the per-node semantics.
+    flat = norm < 1e-12
+    mean[flat], norm[flat] = ref[flat], 1.0
+    axis = mean / norm[:, None]
     # An axis has no inherent sign; fix it the same way fit_line does.
-    pivot = int(np.argmax(np.abs(axis)))
-    if axis[pivot] < 0:
-        axis = -axis
+    neg = axis[rows, np.abs(axis).argmax(axis=1)] < 0
+    axis[neg] = -axis[neg]
     return axis
 
 
-def _location_order(locs: np.ndarray, members: list[int]) -> list[int]:
-    # order votes by coordinates, not ids, so relabeling cannot change the sum
-    pts = locs[members]
-    return [members[k] for k in np.lexsort(pts.T[::-1])]
+def _vote_all(locs: np.ndarray, reach: sparse.csr_matrix, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Voted unit axes of all nodes as an (N, dim) array, and the mask of the
+    nodes that have one."""
+    n = len(locs)
+    centers = np.repeat(np.arange(n), np.diff(reach.indptr))
+    members = reach.indices
+    offsets = locs[members] - locs[centers]
+    norms = np.linalg.norm(offsets, axis=1)
+    # The center itself offers no candidate, and neither does a member so
+    # close that its squared offset underflows to zero.
+    keep = norms > 0
+    centers, members = centers[keep], members[keep]
+    cand = offsets[keep] / norms[keep][:, None]
+    order = np.lexsort((*locs[members].T[::-1], centers))
+    cand = cand[order]
+    sizes = np.bincount(centers, minlength=n)
+    starts = np.cumsum(sizes) - sizes
+    axes = np.zeros_like(locs)
+    for m in np.unique(sizes[sizes > 0]).tolist():
+        who = np.flatnonzero(sizes == m)
+        step = max(1, _BATCH_ELEMENTS // (m * m))
+        for lo in range(0, len(who), step):
+            part = who[lo:lo + step]
+            axes[part] = _vote_batch(cand[starts[part][:, None] + np.arange(m)], n_bins)
+    return axes, sizes > 0
 
 
 def assign_all_directions(cloud: PointCloud, params: VotingParams) -> PointCloud:
@@ -114,15 +149,9 @@ def assign_all_directions(cloud: PointCloud, params: VotingParams) -> PointCloud
     if not cloud.nodes:
         return cloud
     locs = cloud.locs()
-    reach = _hop_reach(locs, params)
-    nodes: list[Node] = []
-    unassigned = 0
-    for node in cloud.nodes:
-        members = _location_order(locs, _members(reach, node.id))
-        direction = _vote(locs, node.id, members, params.rel_bins) if members else None
-        if direction is None:
-            unassigned += 1
-        nodes.append(Node(id=node.id, loc=node.loc, intensity=node.intensity, dir=direction))
+    axes, voted = _vote_all(locs, _hop_reach(locs, params), params.rel_bins)
+    unassigned = len(cloud) - int(voted.sum())
     if unassigned:
         log.warning("%d of %d nodes have empty neighborhoods and no direction", unassigned, len(cloud))
-    return cloud.with_nodes(nodes)
+    dirs = [axis if ok else None for axis, ok in zip(axes, voted.tolist())]
+    return unchecked_cloud(locs, cloud.intensities(), dirs, cloud.image)

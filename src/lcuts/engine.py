@@ -30,7 +30,7 @@ from scipy import sparse
 
 from .direction import VotingParams, assign_all_directions
 from .errors import InputError
-from .geometry import LineFit, Node, PointCloud, fit_line
+from .geometry import LineFit, PointCloud, fit_line, unchecked_cloud
 from .graph import GraphParams, WeightedGraph, build_adjacency, intensity_threshold, segment_min_intensity
 from .spectral import components, ncut_bipartition, peel
 
@@ -166,11 +166,11 @@ def lcuts(cloud: PointCloud, gparams: GraphParams | None = None,
 
     # Work in location-sorted order: ties and rounding then resolve the same
     # way no matter how the caller happened to label the nodes.
-    back = np.lexsort(cloud.locs().T[::-1]).tolist()
-    work = PointCloud(
-        [Node(id=k, loc=cloud.nodes[i].loc, intensity=cloud.nodes[i].intensity)
-         for k, i in enumerate(back)],
-        cloud.dim, image=cloud.image)
+    # The permuted copy of a valid cloud is valid, so it is not checked again.
+    order = np.lexsort(cloud.locs().T[::-1])
+    intensities = cloud.intensities()
+    work = unchecked_cloud(cloud.locs()[order], [intensities[i] for i in order], image=cloud.image)
+    back = order.tolist()
 
     work = assign_all_directions(work, vparams)
     # The intensity factor of the adjacency is active whenever an image is

@@ -100,8 +100,30 @@ class PointCloud:
     def with_image(self, image: RasterImage | None) -> "PointCloud":
         return PointCloud(self.nodes, self.dim, image)
 
-    def with_nodes(self, nodes: list[Node]) -> "PointCloud":
-        return PointCloud(nodes, self.dim, self.image)
+
+def unchecked_cloud(locs: np.ndarray, intensities: list[float | None],
+                    dirs: list[np.ndarray | None] | None = None,
+                    image: RasterImage | None = None) -> PointCloud:
+    """A cloud built from parts that are valid by construction, skipping the
+    per-node checks that ``Node`` and ``PointCloud`` run.
+
+    ``locs`` is a finite float64 (N, 2) or (N, 3) array of distinct rows,
+    ``intensities`` holds N floats in [0, 1] or None, ``dirs`` holds N unit
+    axes or None (default: all None), and ``image`` is bound only to a 2-D
+    cloud. Node ``k`` gets id ``k`` and row ``k`` of ``locs`` as its location.
+    """
+    locs = locs.view()
+    locs.flags.writeable = False
+    if dirs is None:
+        dirs = [None] * len(locs)
+    nodes = []
+    for k, (loc, intensity, axis) in enumerate(zip(locs, intensities, dirs)):
+        node = object.__new__(Node)
+        node.__dict__.update(id=k, loc=loc, intensity=intensity, dir=axis)
+        nodes.append(node)
+    cloud = object.__new__(PointCloud)
+    cloud.nodes, cloud.dim, cloud.image, cloud._locs = nodes, locs.shape[1], image, locs
+    return cloud
 
 
 @dataclass(frozen=True)
@@ -195,8 +217,10 @@ def read_cloud_csv(path: str | Path) -> tuple[PointCloud, list[set[int]] | None]
     if rest[1:] and not has_group:
         raise InputError(f"{path}: unexpected cloud columns {rest[1:]}")
 
-    nodes: list[Node] = []
+    rows_locs: list[list[float]] = []
+    intensities: list[float | None] = []
     labels: list[int] = []
+    lines: list[int] = []
     ncols = dim + 1 + (1 if has_group else 0)
     for lineno, row in enumerate(rows[1:], start=2):
         if not row or all(not c.strip() for c in row):
@@ -204,18 +228,38 @@ def read_cloud_csv(path: str | Path) -> tuple[PointCloud, list[set[int]] | None]
         if len(row) != ncols:
             raise InputError(f"{path}:{lineno}: expected {ncols} columns, got {len(row)}")
         try:
-            loc = np.array([float(c) for c in row[:dim]])
+            loc = [float(c) for c in row[:dim]]
             cell = row[dim].strip()
             inten = float(cell) if cell else None
             if has_group:
                 labels.append(int(row[dim + 1]))
         except ValueError as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from exc
-        nodes.append(Node(id=len(nodes), loc=loc, intensity=inten))
-    try:
-        cloud = PointCloud(nodes, dim)
-    except (InputError, DimensionMismatchError) as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        rows_locs.append(loc)
+        intensities.append(inten)
+        lines.append(lineno)
+
+    # The checks of Node and PointCloud, run once on the whole array.
+    locs = np.array(rows_locs, dtype=np.float64).reshape(-1, dim)
+    bad = np.flatnonzero(~np.isfinite(locs).all(axis=1))
+    if bad.size:
+        k = int(bad[0])
+        raise InputError(f"{path}:{lines[k]}: node {k}: non-finite location")
+    bad = [k for k, v in enumerate(intensities) if v is not None and not 0.0 <= v <= 1.0]
+    if bad:
+        k = bad[0]
+        raise InputError(f"{path}:{lines[k]}: node {k}: intensity {intensities[k]} outside [0, 1]")
+    # A stable sort puts equal locations next to each other in file order;
+    # the first node that repeats an earlier location is reported.
+    order = np.lexsort(locs.T[::-1])
+    same = (locs[order[1:]] == locs[order[:-1]]).all(axis=1)
+    if same.any():
+        later, earlier = order[1:][same], order[:-1][same]
+        j = int(later.argmin())
+        k, first = int(later[j]), int(earlier[j])
+        raise InputError(f"{path}:{lines[k]}: node {k}: duplicate node location "
+                         f"{tuple(locs[k].tolist())} (first at line {lines[first]})")
+    cloud = unchecked_cloud(locs, intensities)
     groups = None
     if has_group:
         members: dict[int, set[int]] = {}

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lcuts.direction import VotingParams, _hop_reach, _location_order, _members, _vote
+from lcuts.direction import VotingParams, _hop_reach
 from lcuts.engine import Decision, StopCheck, StoppingLimits
 from lcuts.errors import DimensionMismatchError, InputError, MissingDataError
 from lcuts.geometry import PointCloud, fit_line
@@ -92,6 +92,64 @@ def pairwise_distance(a, b) -> float:
 
 # ----------------------------------------------------------------------------
 # Direction voting, one node at a time
+
+
+def _members(reach, center: int) -> list[int]:
+    row = reach.indices[reach.indptr[center]:reach.indptr[center + 1]]
+    return row[row != center].tolist()
+
+
+def _vote(locs: np.ndarray, center: int, members: list[int], n_bins: int) -> np.ndarray | None:
+    offsets = locs[members] - locs[center]
+    norms = np.linalg.norm(offsets, axis=1)
+    keepable = norms > 0
+    if not keepable.all():
+        offsets, norms = offsets[keepable], norms[keepable]
+    if len(offsets) == 0:
+        return None
+    return _vote_candidates(offsets / norms[:, None], n_bins)
+
+
+def _vote_candidates(cand: np.ndarray, n_bins: int) -> np.ndarray:
+    """The axis voted by one node's (m, dim) candidates in location order."""
+    cos = np.clip(np.abs(cand @ cand.T), 0.0, 1.0)
+    phi = np.arccos(cos)
+    bin_width = (np.pi / 2) / n_bins
+    # Count, per candidate, how many others fall in the first angular bin.
+    first = phi < bin_width
+    counts = first.sum(axis=1) - 1  # the diagonal always votes for itself
+    kept = cand[counts == counts.max()]
+    ref = kept[0]
+    signs = np.where(kept @ ref < 0.0, -1.0, 1.0)
+    mean = (signs[:, None] * kept).sum(axis=0)
+    norm = float(np.linalg.norm(mean))
+    if norm < 1e-12:
+        # Perfectly antagonistic survivors; fall back to the reference candidate.
+        mean, norm = ref.copy(), 1.0
+    axis = mean / norm
+    # An axis has no inherent sign; fix it the same way fit_line does.
+    pivot = int(np.argmax(np.abs(axis)))
+    if axis[pivot] < 0:
+        axis = -axis
+    return axis
+
+
+def _location_order(locs: np.ndarray, members: list[int]) -> list[int]:
+    # order votes by coordinates, not ids, so relabeling cannot change the sum
+    pts = locs[members]
+    return [members[k] for k in np.lexsort(pts.T[::-1])]
+
+
+def assign_directions(cloud: PointCloud, params: VotingParams) -> list[np.ndarray | None]:
+    """``lcuts.direction.assign_all_directions`` as a loop that votes one node
+    at a time; returns each node's axis, or None for an empty neighborhood."""
+    locs = cloud.locs()
+    reach = _hop_reach(locs, params) if len(cloud) else None
+    out = []
+    for center in range(len(cloud)):
+        members = _location_order(locs, _members(reach, center))
+        out.append(_vote(locs, center, members, params.rel_bins) if members else None)
+    return out
 
 
 @dataclass(frozen=True)

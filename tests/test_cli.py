@@ -2,11 +2,13 @@ import json
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 from lcuts import cli
+from lcuts.raster import RasterImage, write_pgm
 
 
 def run_cli(*args):
@@ -280,6 +282,24 @@ def test_nan_parameter_is_an_input_error(tmp_path, capsys, key):
                                  "minNeighborDist", "detectionFloor"])
 def test_infinite_pipeline_parameter_is_an_input_error(tmp_path, capsys, key):
     assert_extract_rejects(tmp_path, capsys, key, "inf")
+
+
+@pytest.mark.parametrize("radius", ["3000", "1e7"])
+def test_huge_background_radius_exits_2_at_once(tmp_path, capsys, radius):
+    # At these radii the opening of a 699 px image would run for minutes or
+    # ask for petabytes; the bound rejects them before any image work.
+    img = tmp_path / "img.pgm"
+    write_pgm(img, RasterImage(np.full((699, 699), 0.5)))
+    cfg = tmp_path / "bad.cfg"
+    write_spec(cfg, backgroundRadius=radius)
+    t0 = time.perf_counter()
+    code = cli.main(["--config", str(cfg), "--quiet", "extract", str(img),
+                     str(tmp_path / "found.csv")])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "backgroundRadius must be <= 500" in err
+    assert not (tmp_path / "found.csv").exists()
 
 
 @pytest.mark.parametrize("key", ["r", "hopRadius"])

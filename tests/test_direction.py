@@ -1,12 +1,16 @@
+import logging
 from collections import deque
 
 import numpy as np
 import pytest
 
-from lcuts.direction import VotingParams, assign_all_directions
+from lcuts.direction import (_BATCH_ELEMENTS, VotingParams, _hop_reach, _vote_batch,
+                             assign_all_directions)
 from lcuts.errors import InputError
 from lcuts.geometry import Node, PointCloud
-from oracles import Neighborhood, estimate_direction, hop_neighborhood
+from oracles import (Neighborhood, _vote_candidates, assign_directions, estimate_direction,
+                     hop_neighborhood)
+from test_acceptance import fuzz_cloud
 
 
 def make_cloud(pts, dim=2):
@@ -151,6 +155,101 @@ def test_rotation_equivariance():
         expected = rot @ a.dir
         # directions are axes: compare up to sign
         assert min(np.linalg.norm(b.dir - expected), np.linalg.norm(b.dir + expected)) <= 1e-6
+
+
+def assert_matches_oracle(cloud, params, label=""):
+    """The batched vote equals the one-node-at-a-time oracle bit for bit."""
+    got = assign_all_directions(cloud, params)
+    for k, (node, want) in enumerate(zip(got.nodes, assign_directions(cloud, params))):
+        if want is None:
+            assert node.dir is None, f"{label} node {k}"
+        else:
+            # bytes, not np.array_equal, so that signed zeros must agree too
+            assert node.dir is not None and node.dir.tobytes() == want.tobytes(), f"{label} node {k}"
+    return got
+
+
+def lattice_cloud(rng, dim):
+    # Integer points scaled by a small integer: many exactly parallel and
+    # exactly perpendicular offsets, so angle ties and zero dot products.
+    n = int(rng.integers(2, 120))
+    pts = np.unique(rng.integers(0, 12, size=(n, dim)).astype(np.float64), axis=0)
+    pts = pts[rng.permutation(len(pts))] * float(rng.integers(1, 4))
+    return PointCloud([Node(i, p) for i, p in enumerate(pts)], dim)
+
+
+def test_assign_matches_oracle_on_fuzz_corpus(caplog):
+    caplog.set_level(logging.ERROR, logger="lcuts.direction")
+    # Criterion 09's corpus, replayed draw for draw.
+    rng = np.random.default_rng(3)
+    corpus = []
+    for t in range(500):
+        corpus.append(fuzz_cloud(t, rng))
+        if t % 10 == 0 and len(corpus[-1]) > 1:
+            rng.permutation(len(corpus[-1]))
+    for params in (VotingParams(), VotingParams(hops=2, hop_radius=9),
+                   VotingParams(hops=5, hop_radius=4, n_rel_bins=3)):
+        for t, cloud in enumerate(corpus):
+            assert_matches_oracle(cloud, params, f"{params} trial {t}")
+    rng = np.random.default_rng(10)
+    for t in range(200):
+        cloud = lattice_cloud(rng, 2 + t % 2)
+        params = VotingParams(hops=1 + t % 5, hop_radius=float(rng.choice([3.0, 4.5, 6.0])))
+        assert_matches_oracle(cloud, params, f"{params} lattice {t}")
+
+
+def test_assign_drops_candidates_whose_square_underflows(caplog):
+    # 1e-170 squared underflows to 0.0: that offset has no direction to
+    # offer, exactly as in the oracle, and the pair alone votes nothing.
+    params = VotingParams(hops=1, hop_radius=5.0)
+    with caplog.at_level(logging.WARNING, logger="lcuts.direction"):
+        got = assert_matches_oracle(make_cloud([(0.0, 0.0), (1e-170, 0.0), (40.0, 0.0)]), params)
+    assert [n.dir for n in got.nodes] == [None, None, None]
+    assert "3 of 3 nodes have empty neighborhoods" in caplog.text
+    # Beside a proper member the underflowing one is dropped, and a subnormal
+    # square (1e-160 apart) still votes.
+    cloud = make_cloud([(0.0, 0.0), (1e-170, 0.0), (0.0, 3.0), (1e-160, 7.0), (0.0, 7.0)])
+    got = assert_matches_oracle(cloud, params)
+    assert np.array_equal(got.nodes[0].dir, [0.0, 1.0])
+
+
+def test_vote_falls_back_to_reference_when_mean_vanishes():
+    # Sign-aligned unit candidates always sum to at least the reference, so
+    # no cloud reaches the fallback; zero candidates do.
+    cand = np.array([[[0.0, 0.0], [0.0, 0.0]], [[0.6, 0.8], [0.0, 0.0]]])
+    got = _vote_batch(cand, 4)
+    for b in range(2):
+        assert got[b].tobytes() == _vote_candidates(cand[b], 4).tobytes()
+    assert np.array_equal(got[0], [0.0, 0.0])
+
+
+def test_assign_single_member_and_isolated_nodes():
+    # Pairs, a lone node, and a chain end whose only member is one hop away.
+    cloud = make_cloud([(0.0, 0.0), (3.0, 4.0), (50.0, 50.0), (100.0, 0.0), (100.0, 5.0),
+                        (-40.0, 9.0)])
+    got = assert_matches_oracle(cloud, VotingParams(hops=1, hop_radius=5.0))
+    assert [n.dir is None for n in got.nodes] == [False, False, True, False, False, True]
+    assert np.array_equal(got.nodes[3].dir, [0.0, 1.0])
+
+
+def test_assign_many_neighborhood_sizes():
+    # A dense blob beside sparse chains gives neighborhoods of many sizes,
+    # so many count groups, some large enough to vote in several chunks.
+    rng = np.random.default_rng(8)
+    for dim in (2, 3):
+        blob = rng.uniform(0.0, 12.0, size=(400, dim))
+        chain = np.zeros((30, dim))
+        chain[:, 0] = 40.0 + 3.0 * np.arange(30)
+        chain[:, 1] = rng.normal(0.0, 0.5, size=30)
+        cloud = make_cloud(np.concatenate([blob, chain]), dim)
+        for hops in (1, 2, 4):
+            params = VotingParams(hops=hops, hop_radius=4.0)
+            sizes = np.diff(_hop_reach(cloud.locs(), params).indptr) - 1
+            assert len(np.unique(sizes)) >= 8
+            got = assert_matches_oracle(cloud, params)
+            assert all(n.dir is not None for n in got.nodes)
+        m = sizes.max()
+        assert (sizes == m).sum() * m * m > _BATCH_ELEMENTS  # this group votes in chunks
 
 
 def test_voting_params_validation():

@@ -144,6 +144,26 @@ def test_cloud_csv_errors(tmp_path):
     with pytest.raises(InputError):
         read_cloud_csv(tmp_path / "nope.csv")
 
+    # Checks on the parsed values: the message names the file, the line and
+    # the node (data line 4 holds node 2).
+    good = "x,y,intensity\n0.0,0.0,0.5\n1.0,0.0,0.5\n"
+    for row, what in [("nan,0.0,0.5", "non-finite location"),
+                      ("2.0,inf,0.5", "non-finite location"),
+                      ("-inf,1.0,", "non-finite location"),
+                      ("2.0,0.0,1.5", "intensity 1.5 outside [0, 1]"),
+                      ("2.0,0.0,-0.25", "intensity -0.25 outside [0, 1]"),
+                      ("2.0,0.0,nan", "intensity nan outside [0, 1]"),
+                      ("1.0,0.0,0.25", "duplicate node location (1.0, 0.0) (first at line 3)"),
+                      ("-0.0,0.0,0.5", "duplicate node location (-0.0, 0.0) (first at line 2)")]:
+        path.write_text(good + row + "\n")
+        with pytest.raises(InputError, match="duplicate" if "duplicate" in what else None) as err:
+            read_cloud_csv(path)
+        assert str(err.value) == f"{path}:4: node 2: {what}"
+    path.write_text("x,y,z,intensity\n0,0,0,\n1,2,3,\n5,5,5,\n1,2,3,\n0,0,0,\n")
+    with pytest.raises(InputError, match="duplicate") as err:
+        read_cloud_csv(path)
+    assert str(err.value) == f"{path}:5: node 3: duplicate node location (1.0, 2.0, 3.0) (first at line 3)"
+
 
 def test_write_cloud_csv_requires_cover(tmp_path):
     nodes = [Node(0, np.array([0.0, 0.0])), Node(1, np.array([1.0, 0.0]))]

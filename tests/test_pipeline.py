@@ -4,9 +4,10 @@ from scipy import ndimage
 
 from lcuts import cli, pipeline
 from lcuts.errors import InputError
-from lcuts.pipeline import (PipelineParams, _disk, _disk_rank, _open_disk,
-                            extract_nodes, find_local_maxima, gaussian_filter,
-                            gaussian_kernel, prune_nodes, subtract_background)
+from lcuts.pipeline import (MAX_BACKGROUND_RADIUS, PipelineParams, _disk_half_widths,
+                            _disk_rank, _open_disk, extract_nodes, find_local_maxima,
+                            gaussian_filter, gaussian_kernel, prune_nodes,
+                            subtract_background)
 from lcuts.raster import RasterImage, bilinear_sample
 from lcuts.synth import SynthSpec, generate_image, segment_distance, _place_rods
 
@@ -41,6 +42,13 @@ def naive_opening(pixels, radius):
         for x in range(w):
             opened[y, x] = padded[y:y + 2 * r + 1, x:x + 2 * r + 1][fp].max()
     return opened
+
+
+def _disk(radius):
+    """The disk footprint ``x^2 + y^2 <= radius^2`` as a (2r + 1)^2 mask."""
+    r = int(np.floor(radius))
+    y, x = np.mgrid[-r : r + 1, -r : r + 1]
+    return x * x + y * y <= radius * radius
 
 
 def footprint_opening(pixels, radius):
@@ -129,11 +137,23 @@ def test_disk_opening_equals_footprint_filters(radius):
         if k % 2:
             px = np.round(px * 4.0) / 4.0  # quantised: many ties
         fp = _disk(radius)
-        eroded = _disk_rank(px, fp, ndimage.minimum_filter1d, np.minimum)
+        eroded = _disk_rank(px, _disk_half_widths(radius), ndimage.minimum_filter1d, np.minimum)
         assert np.array_equal(eroded, ndimage.grey_erosion(px, footprint=fp, mode="mirror"))
         assert np.array_equal(_open_disk(px, radius), footprint_opening(px, radius))
         out = subtract_background(RasterImage(px), radius)
         assert np.array_equal(out.pixels, np.clip(px - footprint_opening(px, radius), 0.0, 1.0))
+
+
+def test_disk_half_widths_match_mask():
+    # Fine sweep, integers, and radii at and one ulp around every sqrt(k),
+    # where the row test x^2 + y^2 <= radius^2 flips.
+    roots = np.sqrt(np.arange(1.0, 3000.0))
+    radii = np.concatenate([np.arange(0.05, 40.0, 0.05), np.arange(1.0, 201.0), roots,
+                            np.nextafter(roots, 0.0), np.nextafter(roots, np.inf),
+                            np.random.default_rng(4).uniform(1.0, MAX_BACKGROUND_RADIUS, 50),
+                            [MAX_BACKGROUND_RADIUS]])
+    for radius in radii.tolist():
+        assert np.array_equal(_disk_half_widths(radius), _disk(radius).sum(axis=1) // 2), radius
 
 
 def test_cli_extract_bytes_match_footprint_opening(tmp_path, monkeypatch):
@@ -349,3 +369,9 @@ def test_pipeline_params_validation():
         gaussian_filter(img, float("nan"))
     with pytest.raises(InputError):
         subtract_background(img, float("nan"))
+    assert PipelineParams(background_radius=MAX_BACKGROUND_RADIUS).background_radius == 500.0
+    for radius in (np.nextafter(MAX_BACKGROUND_RADIUS, np.inf), 3000.0, 1e7):
+        with pytest.raises(InputError, match="backgroundRadius must be <= 500"):
+            PipelineParams(background_radius=radius)
+        with pytest.raises(InputError, match="<= 500"):
+            subtract_background(img, radius)

@@ -8,8 +8,10 @@ Groups that are too long to be a single object are always split first.
 
 The affinity is zero beyond ``r``, so the graph falls apart into connected
 components, found once for the cloud and once per spectral split (both
-sides at once, with the cut edges dropped), each time from one sparse copy
-of the matrix. Connectivity counts only edges of weight >=
+sides at once, with the cut edges dropped), each time by the numpy labeller
+of ``spectral.component_arrays`` on a dense matrix: the whole affinity, or
+the block that the split already restricted, masked to pairs on one side.
+Connectivity counts only edges of weight >=
 ``spectral.WEAK_LINK`` (1e-12): a lighter edge, such as any edge longer than
 52.6 px under the default ``sigmaD = 10``, is below what the dense
 eigensolver resolves, so a block joined only by such edges would get an
@@ -17,22 +19,26 @@ arbitrary Fiedler split. Dead nodes are the singleton components, that is
 nodes with no link >= 1e-12 inside their group; a group of several
 components is split by peeling whole ones off (ncut 0.0), and only a
 connected group is restricted to a dense block for the Fiedler sweep.
+
+The recursion carries each node's ids as a sorted int64 array of working
+(location-sorted) ids and translates the record back to the caller's ids
+once, with one array take and sort per record. An accepted group keeps the
+line fit of its stop check: ``fit_line`` orders its points canonically, so
+that fit equals a fit of the group in the caller's order bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
 
 import numpy as np
-from scipy import sparse
 
 from .direction import VotingParams, assign_all_directions
 from .errors import InputError
 from .geometry import LineFit, PointCloud, fit_line, unchecked_cloud
 from .graph import GraphParams, WeightedGraph, build_adjacency, intensity_threshold, segment_min_intensity
-from .spectral import components, ncut_bipartition, peel
+from .spectral import component_arrays, ncut_bipartition, peel
 
 
 @dataclass(frozen=True)
@@ -66,13 +72,14 @@ class Decision(str, Enum):
 class StopCheck:
     decision: Decision
     forced: bool = False  # accepted despite failing linearity (unsplittable group)
+    fit: LineFit | None = field(default=None, compare=False)  # the group's line, once fitted
 
 
 @dataclass
 class TreeNode:
     """One node of the recursion record."""
 
-    ids: list[int]
+    ids: list[int]                     # sorted; an int64 array while lcuts() recurses
     decision: str = ""
     ncut: float | None = None
     forced: bool = False
@@ -117,7 +124,7 @@ def check_stopping(cloud: PointCloud, group, limits: StoppingLimits,
     ``thresh`` is the global intensity threshold; pass None to skip the
     intensity test (no image, or intensities unavailable).
     """
-    ids = sorted(group)
+    ids = np.sort(group if isinstance(group, np.ndarray) else np.fromiter(group, dtype=np.int64))
     if len(ids) < limits.min_group_size:
         return StopCheck(Decision.OUTLIER)
     if len(ids) == 1:
@@ -126,23 +133,23 @@ def check_stopping(cloud: PointCloud, group, limits: StoppingLimits,
     locs = cloud.locs()
     fit = fit_line(locs[ids])
     if fit.extent > limits.size_limit:
-        return StopCheck(Decision.RECURSE)
+        return StopCheck(Decision.RECURSE, fit=fit)
 
     linear = fit.std <= limits.std_limit
     if linear and limits.check_eccentricity and len(ids) > 3:
         linear = fit.eccentricity >= limits.ecc_limit
     if linear and limits.check_intensity and cloud.image is not None and thresh is not None:
         proj = (locs[ids] - fit.centroid) @ fit.axis
-        along = np.asarray(ids)[np.lexsort((ids, proj))]
+        along = ids[np.lexsort((ids, proj))]
         m = segment_min_intensity(cloud.image, locs[along[:-1]], locs[along[1:]], sampling_step)
         linear = not (m <= thresh).any()
 
     if linear:
-        return StopCheck(Decision.ACCEPT)
+        return StopCheck(Decision.ACCEPT, fit=fit)
     if len(ids) <= 2:
         # Cannot be split into anything but outliers; keep it, flagged.
-        return StopCheck(Decision.ACCEPT, forced=True)
-    return StopCheck(Decision.RECURSE)
+        return StopCheck(Decision.ACCEPT, forced=True, fit=fit)
+    return StopCheck(Decision.RECURSE, fit=fit)
 
 
 def lcuts(cloud: PointCloud, gparams: GraphParams | None = None,
@@ -170,7 +177,6 @@ def lcuts(cloud: PointCloud, gparams: GraphParams | None = None,
     order = np.lexsort(cloud.locs().T[::-1])
     intensities = cloud.intensities()
     work = unchecked_cloud(cloud.locs()[order], [intensities[i] for i in order], image=cloud.image)
-    back = order.tolist()
 
     work = assign_all_directions(work, vparams)
     # The intensity factor of the adjacency is active whenever an image is
@@ -180,23 +186,23 @@ def lcuts(cloud: PointCloud, gparams: GraphParams | None = None,
         thresh = intensity_threshold(work)
     graph = build_adjacency(work, gparams, thresh=thresh)
 
-    groups: list[list[int]] = []
+    groups: list[np.ndarray] = []
     forced_flags: list[bool] = []
+    fits: list[LineFit | None] = []
     outliers: list[int] = []
-    root = TreeNode(ids=list(range(len(work))))
+    root = TreeNode(ids=np.arange(len(work)))
     # Each entry carries the connected components of its node's ids.
-    csr = sparse.csr_matrix(graph.weights)
-    stack = [(root, components(csr))]
+    stack = [(root, component_arrays(graph.weights))]
     while stack:
         node, comps = stack.pop()
         ids = node.ids
         # Dead nodes, those without a link >= WEAK_LINK, are exactly the
         # singleton components.
-        stripped = [c[0] for c in comps if len(c) == 1] if len(ids) > 1 else []
+        stripped = [c for c in comps if len(c) == 1] if len(ids) > 1 else []
         if stripped:
             node.decision = "strip"
-            node.stripped = stripped
-            outliers.extend(stripped)
+            node.stripped = np.concatenate(stripped)
+            outliers.extend(node.stripped)
             live = [c for c in comps if len(c) > 1]
             sides = [live] if live else []
         else:
@@ -205,8 +211,11 @@ def lcuts(cloud: PointCloud, gparams: GraphParams | None = None,
             node.decision = chk.decision.value
             node.forced = chk.forced
             if chk.decision is Decision.ACCEPT:
+                # fit_line orders its points canonically, so this fit equals
+                # the fit of the group in the caller's order bit for bit.
                 groups.append(ids)
                 forced_flags.append(chk.forced)
+                fits.append(chk.fit)
                 continue
             if chk.decision is Decision.OUTLIER:
                 outliers.extend(ids)
@@ -223,29 +232,29 @@ def lcuts(cloud: PointCloud, gparams: GraphParams | None = None,
                 # and each component then lies within one side.
                 half = np.zeros(len(ids), dtype=np.int8)
                 half[list(part.group_b)] = 1
-                blk = csr[ids][:, ids]
-                blk.data[np.repeat(half, np.diff(blk.indptr)) != half[blk.indices]] = 0.0
-                blk.eliminate_zeros()
+                same_side = half[:, None] == half[None, :]
                 sides = [[], []]
-                for c in components(blk):
-                    sides[half[c[0]]].append([ids[k] for k in c])
-        kids = [TreeNode(ids=sorted(chain(*side))) for side in sides]
+                for c in component_arrays(np.where(same_side, sub.weights, 0.0)):
+                    sides[half[c[0]]].append(ids[c])
+        kids = [TreeNode(ids=np.sort(np.concatenate(side))) for side in sides]
         node.children.extend(kids)
         stack.extend(reversed(list(zip(kids, sides))))
 
-    # translate back to the caller's node ids
-    groups = [sorted(back[k] for k in g) for g in groups]
-    outliers = [back[k] for k in outliers]
+    # Translate back to the caller's node ids. Every list takes its ints
+    # from one pool, so a record holds a pointer per id, not a new int.
+    pool = list(range(len(cloud)))
+
+    def caller_ids(ids) -> list[int]:
+        return list(map(pool.__getitem__, np.sort(order[ids]).tolist()))
+
     walk = [root]
     while walk:
         node = walk.pop()
-        node.ids = sorted(back[k] for k in node.ids)
-        node.stripped = sorted(back[k] for k in node.stripped)
+        node.ids = caller_ids(node.ids)
+        node.stripped = caller_ids(node.stripped)
         walk.extend(node.children)
-
-    ordered = sorted(zip(groups, forced_flags))  # groups are disjoint: by smallest member
-    groups, forced_flags = [g for g, _ in ordered], [f for _, f in ordered]
-    locs = cloud.locs()
-    fits: list[LineFit | None] = [fit_line(locs[g]) if len(g) >= 2 else None for g in groups]
-    return ClusterResult(groups, sorted(outliers), fits, forced_flags, root,
-                         graph, np.argsort(back))
+    # Groups are disjoint, so they order by their smallest member.
+    ordered = sorted(zip(map(caller_ids, groups), forced_flags, fits), key=lambda t: t[0][0])
+    return ClusterResult([g for g, _, _ in ordered], caller_ids(outliers),
+                         [fit for _, _, fit in ordered], [f for _, f, _ in ordered], root,
+                         graph, np.argsort(order))

@@ -161,6 +161,12 @@ def build_adjacency(cloud: PointCloud, params: GraphParams,
 
 
 def write_adjacency_csv(path: str | Path, graph: WeightedGraph) -> None:
-    """Dump the full matrix, one row per line, full float precision."""
-    lines = [",".join(repr(float(v)) for v in row) for row in graph.weights]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Dump the full matrix, one row per line, full float precision.
+
+    Rows are written one at a time, so no more than one line of text is
+    held in memory. The bytes are those of ``"\\n".join(rows) + "\\n"``; an
+    empty matrix gives a single newline."""
+    with Path(path).open("w", encoding="utf-8") as out:
+        for k, row in enumerate(graph.weights):
+            out.write(("\n" if k else "") + ",".join(map(repr, row.tolist())))
+        out.write("\n")

@@ -31,12 +31,18 @@ from .raster import RasterImage, bilinear_sample
 # proportion to the radius times the padded image: about 11 s on a 699 x 699
 # image at this bound (one core), and 0.12 s at the default of 15 px.
 MAX_BACKGROUND_RADIUS = 500.0
+# Largest accepted smoothing scale, in pixels. The kernel has 6 sigma + 1
+# taps, so the filter costs time in proportion to sigma times the image:
+# about 0.3 s on a 699 x 699 image at this bound (one core), and 0.02 s at
+# the default of 1.5 px. A ridge a few pixels wide is gone long before it.
+MAX_GAUSSIAN_SIGMA = 100.0
 
 
 @dataclass(frozen=True)
 class PipelineParams:
-    """Extraction settings. ``background_radius`` must lie in
-    (0, ``MAX_BACKGROUND_RADIUS``] = (0, 500] pixels."""
+    """Extraction settings. ``gaussian_sigma`` must lie in
+    (0, ``MAX_GAUSSIAN_SIGMA``] = (0, 100] pixels, and ``background_radius``
+    in (0, ``MAX_BACKGROUND_RADIUS``] = (0, 500] pixels."""
 
     gaussian_sigma: float = 1.5      # smoothing scale, pixels
     background_radius: float = 15.0  # opening disk radius, pixels
@@ -48,13 +54,13 @@ class PipelineParams:
     def __post_init__(self) -> None:
         # Written as "not 0 < x < inf" so that NaN fails too. An infinite size
         # overflows the filter sizes or asks radius_pairs for every pair.
-        for key, value in (("gaussianSigma", self.gaussian_sigma),
-                           ("backgroundRadius", self.background_radius)):
+        for key, value, bound in (("gaussianSigma", self.gaussian_sigma, MAX_GAUSSIAN_SIGMA),
+                                  ("backgroundRadius", self.background_radius,
+                                   MAX_BACKGROUND_RADIUS)):
             if not 0 < value < np.inf:
                 raise InputError(f"{key} must be finite and > 0, got {value}")
-        if self.background_radius > MAX_BACKGROUND_RADIUS:
-            raise InputError(f"backgroundRadius must be <= {MAX_BACKGROUND_RADIUS:g}, "
-                             f"got {self.background_radius}")
+            if value > bound:
+                raise InputError(f"{key} must be <= {bound:g}, got {value}")
         if self.maxima_window < 1 or self.maxima_window % 2 == 0:
             raise InputError(f"maximaWindow must be odd and >= 1, got {self.maxima_window}")
         for key, value in (("minSeparation", self.min_separation),
@@ -73,9 +79,10 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
 
 
 def gaussian_filter(img: RasterImage, sigma: float) -> RasterImage:
-    """Separable Gaussian smoothing with mirror-reflected edges."""
-    if not sigma > 0:
-        raise InputError(f"sigma must be > 0, got {sigma}")
+    """Separable Gaussian smoothing with mirror-reflected edges. ``sigma``
+    must lie in (0, 100]; see ``MAX_GAUSSIAN_SIGMA``."""
+    if not 0 < sigma <= MAX_GAUSSIAN_SIGMA:
+        raise InputError(f"sigma must be > 0 and <= {MAX_GAUSSIAN_SIGMA:g}, got {sigma}")
     kernel = gaussian_kernel(sigma)
     out = ndimage.correlate1d(img.pixels, kernel, axis=1, mode="mirror")
     out = ndimage.correlate1d(out, kernel, axis=0, mode="mirror")

@@ -21,6 +21,20 @@ that near-null space, and the split would depend on the LAPACK routine.
 Such a block is peeled by its components instead, with no matrix work and
 the same result on every LAPACK build; the split records ncut 0.0 (its
 exact Ncut on the field layouts is about 1e-15).
+
+``component_arrays`` finds the components with whole-array numpy steps, in
+the hook-and-jump style of Shiloach and Vishkin, so a small block costs no
+sparse-matrix set-up. Every node holds a pointer, first to itself. A round
+hooks each root to the smallest root linked to it by an edge, in either
+direction, when that root is smaller, then jumps every pointer to its root
+and drops the edges inside one tree. Pointers only ever go to smaller ids,
+so they form a forest, and a tree only grows along edges, so it lies inside
+one component. While an edge joins two trees, the next round hooks the
+larger root of the two. At the fixpoint no edge joins two trees, so each
+component is one tree, and its root is at most every member's id while
+being a member, that is, the smallest id. A stable sort by that label
+lists each component in ascending order, and the components by their
+smallest member.
 """
 
 from __future__ import annotations
@@ -30,7 +44,6 @@ from itertools import chain
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
 from .errors import DegenerateInputError, InputError
 from .graph import WeightedGraph
@@ -84,20 +97,50 @@ def smallest_eigenpairs(matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     return vals[:k], vecs[:, :k]
 
 
+def component_arrays(w) -> list[np.ndarray]:
+    """``components`` as sorted int64 arrays, found by the hook-and-jump
+    labeller of the module docstring."""
+    if sparse.issparse(w):
+        coo = w.tocoo()
+        linked = coo.data >= WEAK_LINK
+        ii, jj = coo.row[linked].astype(np.int64), coo.col[linked].astype(np.int64)
+    else:
+        # Blocks of about 2**20 entries: the mask of a block takes 1 MiB,
+        # where one of the whole matrix would take N^2 bytes. A 1-D
+        # flatnonzero is several times faster than a 2-D nonzero.
+        w = np.asarray(w)
+        n = w.shape[0]
+        rows = 1 + 2**20 // max(n, 1)
+        flat = [np.flatnonzero(w[r:r + rows] >= WEAK_LINK) + r * n for r in range(0, n, rows)]
+        ii, jj = np.divmod(np.concatenate([np.zeros(0, dtype=np.int64), *flat]), n)
+    label = np.arange(w.shape[0])
+    # Every label is a root at the top of a round.
+    while ii.size:
+        # Hook each root to its smallest linked root, if that is smaller.
+        li, lj = label[ii], label[jj]
+        np.minimum.at(label, li, lj)
+        np.minimum.at(label, lj, li)
+        # Jump every pointer to its root.
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+        # An edge inside one tree never hooks again.
+        cross = label[ii] != label[jj]
+        ii, jj = ii[cross], jj[cross]
+    # Each label is now its component's smallest id.
+    members = np.argsort(label, kind="stable")
+    sizes = np.bincount(label)
+    # The split after the last member leaves one empty array to drop.
+    return np.split(members, np.cumsum(sizes[sizes > 0]))[:-1]
+
+
 def components(w) -> list[list[int]]:
     """Connected components of a dense or sparse weight matrix, linking two
     nodes only by an edge of weight >= ``WEAK_LINK``; each component is
     sorted, and they are ordered by their smallest member."""
-    # Masking a copy in place: scipy's ``csr >= WEAK_LINK`` costs about
-    # 0.1 ms more per call on the small blocks the engine meets.
-    linked = sparse.csr_matrix(w, copy=True)
-    linked.data[linked.data < WEAK_LINK] = 0.0
-    linked.eliminate_zeros()
-    _, labels = connected_components(linked, directed=False)
-    members = np.argsort(labels, kind="stable")
-    comps = [c.tolist() for c in np.split(members, np.cumsum(np.bincount(labels))[:-1])]
-    comps.sort(key=lambda c: c[0])
-    return comps
+    return [c.tolist() for c in component_arrays(w)]
 
 
 def peel(comps: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:

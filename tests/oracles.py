@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from lcuts.direction import VotingParams, _hop_reach
 from lcuts.engine import Decision, StopCheck, StoppingLimits
@@ -18,6 +20,7 @@ from lcuts.errors import DimensionMismatchError, InputError, MissingDataError
 from lcuts.geometry import PointCloud, fit_line
 from lcuts.graph import GraphParams
 from lcuts.raster import RasterImage, bilinear_sample
+from lcuts.spectral import WEAK_LINK
 
 
 # ----------------------------------------------------------------------------
@@ -213,3 +216,20 @@ def check_stopping(cloud: PointCloud, group, limits: StoppingLimits,
     if len(ids) <= 2:
         return StopCheck(Decision.ACCEPT, forced=True)
     return StopCheck(Decision.RECURSE)
+
+
+# ----------------------------------------------------------------------------
+# Connected components through scipy's graph search
+
+
+def components(w) -> list[list[int]]:
+    """``lcuts.spectral.components`` through ``connected_components`` on a
+    sparse copy of the matrix with the edges below ``WEAK_LINK`` removed."""
+    linked = sparse.csr_matrix(w, copy=True)
+    linked.data[linked.data < WEAK_LINK] = 0.0
+    linked.eliminate_zeros()
+    _, labels = connected_components(linked, directed=False)
+    members = np.argsort(labels, kind="stable")
+    comps = [c.tolist() for c in np.split(members, np.cumsum(np.bincount(labels))[:-1])]
+    comps.sort(key=lambda c: c[0])
+    return comps

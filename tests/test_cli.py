@@ -302,6 +302,24 @@ def test_huge_background_radius_exits_2_at_once(tmp_path, capsys, radius):
     assert not (tmp_path / "found.csv").exists()
 
 
+@pytest.mark.parametrize("sigma", ["1e3", "1e12"])
+def test_huge_gaussian_sigma_exits_2_at_once(tmp_path, capsys, sigma):
+    # At 1e12 the kernel alone would ask for 6e12 taps (43.7 TiB) and end in
+    # a MemoryError; the bound rejects it before any image work.
+    img = tmp_path / "img.pgm"
+    write_pgm(img, RasterImage(np.full((699, 699), 0.5)))
+    cfg = tmp_path / "bad.cfg"
+    write_spec(cfg, gaussianSigma=sigma)
+    t0 = time.perf_counter()
+    code = cli.main(["--config", str(cfg), "--quiet", "extract", str(img),
+                     str(tmp_path / "found.csv")])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "gaussianSigma must be <= 100" in err
+    assert not (tmp_path / "found.csv").exists()
+
+
 @pytest.mark.parametrize("key", ["r", "hopRadius"])
 def test_infinite_reach_is_an_input_error(tmp_path, capsys, key):
     spec = tmp_path / "spec.cfg"

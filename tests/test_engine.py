@@ -6,7 +6,7 @@ from lcuts import spectral
 from lcuts.direction import VotingParams, assign_all_directions
 from lcuts.engine import Decision, StoppingLimits, check_stopping, lcuts
 from lcuts.errors import InputError
-from lcuts.geometry import Node, PointCloud
+from lcuts.geometry import Node, PointCloud, fit_line
 from lcuts.graph import GraphParams, WeightedGraph, build_adjacency, intensity_threshold
 from lcuts.metrics import evaluate
 from lcuts.raster import RasterImage
@@ -124,6 +124,25 @@ def test_lcuts_chain_single_group():
     assert res.tree is not None
     assert res.tree.decision == "accept" and res.tree.children == []
     assert res.per_group[0] is not None and res.per_group[0].extent == pytest.approx(35.0)
+
+
+def test_lcuts_per_group_fits_equal_fresh_fits_bit_for_bit():
+    # lcuts() reuses the stop check's fit, made in location-sorted working
+    # order; it must equal a fit of the group in the caller's order.
+    def bits(x):
+        return np.asarray(x, dtype=np.float64).tobytes()
+
+    for dim, n_rods, seed in ((2, 40, 31), (3, 25, 32)):
+        cloud, _ = generate_cloud(SynthSpec(dim=dim, n_rods=n_rods, seed=seed))
+        perm = np.random.default_rng(seed).permutation(len(cloud))
+        locs = cloud.locs()[perm]
+        shuffled = PointCloud([Node(i, p) for i, p in enumerate(locs)], dim)
+        res = lcuts(shuffled)
+        assert len(res.per_group) == len(res.groups) > n_rods // 2
+        for g, fit in zip(res.groups, res.per_group):
+            want = fit_line(locs[g])
+            for name in ("centroid", "axis", "std", "eccentricity", "extent"):
+                assert bits(getattr(fit, name)) == bits(getattr(want, name)), (dim, g, name)
 
 
 def test_lcuts_splits_two_rods():

@@ -182,6 +182,18 @@ def test_adjacency_csv_exact(tmp_path):
     assert np.array_equal(back, graph.weights)
 
 
+def test_adjacency_csv_bytes(tmp_path):
+    # Streamed row by row, the file keeps the bytes of the joined text.
+    rng = np.random.default_rng(8)
+    for n in (0, 1, 2, 7):
+        w = np.triu(rng.uniform(0.0, 1.0, size=(n, n)) ** 9, 1)
+        w = w + w.T
+        path = tmp_path / f"w{n}.csv"
+        write_adjacency_csv(path, WeightedGraph(w))
+        text = "\n".join(",".join(repr(float(v)) for v in row) for row in w) + "\n"
+        assert path.read_bytes() == text.encode("utf-8")
+
+
 def test_parse_kv(tmp_path):
     path = tmp_path / "f.cfg"
     path.write_text(

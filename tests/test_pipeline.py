@@ -4,8 +4,8 @@ from scipy import ndimage
 
 from lcuts import cli, pipeline
 from lcuts.errors import InputError
-from lcuts.pipeline import (MAX_BACKGROUND_RADIUS, PipelineParams, _disk_half_widths,
-                            _disk_rank, _open_disk, extract_nodes, find_local_maxima,
+from lcuts.pipeline import (MAX_BACKGROUND_RADIUS, MAX_GAUSSIAN_SIGMA, PipelineParams,
+                            _disk_half_widths, _disk_rank, _open_disk, extract_nodes, find_local_maxima,
                             gaussian_filter, gaussian_kernel, prune_nodes,
                             subtract_background)
 from lcuts.raster import RasterImage, bilinear_sample
@@ -375,3 +375,14 @@ def test_pipeline_params_validation():
             PipelineParams(background_radius=radius)
         with pytest.raises(InputError, match="<= 500"):
             subtract_background(img, radius)
+
+
+def test_gaussian_sigma_bound():
+    img = RasterImage(np.full((5, 5), 0.5))
+    assert PipelineParams(gaussian_sigma=MAX_GAUSSIAN_SIGMA).gaussian_sigma == 100.0
+    assert np.allclose(gaussian_filter(img, MAX_GAUSSIAN_SIGMA).pixels, 0.5, rtol=0, atol=1e-12)
+    for sigma in (np.nextafter(MAX_GAUSSIAN_SIGMA, np.inf), 1e3, 1e12):
+        with pytest.raises(InputError, match="gaussianSigma must be <= 100"):
+            PipelineParams(gaussian_sigma=sigma)
+        with pytest.raises(InputError, match="<= 100"):
+            gaussian_filter(img, sigma)

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from lcuts.direction import VotingParams, assign_all_directions
 from lcuts.errors import DegenerateInputError, InputError
-from lcuts.graph import WeightedGraph
+from lcuts.graph import GraphParams, WeightedGraph, build_adjacency
 from lcuts.spectral import WEAK_LINK, components, ncut_bipartition, ncut_value, peel, smallest_eigenpairs
+import oracles
+from test_acceptance import fuzz_cloud
 
 
 def graph_from(w):
@@ -155,6 +158,75 @@ def test_components_link_at_weak_link_and_above():
         w = np.array([[0.0, weight], [weight, 0.0]])
         assert components(w) == comps
         assert components(sparse.csr_matrix(w)) == comps
+
+
+def assert_components_match_oracle(w):
+    want = oracles.components(w)
+    assert components(w) == want
+    assert components(sparse.csr_matrix(w)) == want
+
+
+def test_components_match_oracle_on_fuzz_corpus():
+    # Replays criterion 09's corpus draw for draw.
+    rng = np.random.default_rng(3)
+    for t in range(500):
+        cloud = fuzz_cloud(t, rng)
+        if t % 10 == 0 and len(cloud) > 1:
+            rng.permutation(len(cloud))
+        if len(cloud) == 0:
+            continue
+        cloud = assign_all_directions(cloud, VotingParams())
+        assert_components_match_oracle(build_adjacency(cloud, GraphParams()).weights)
+
+
+def test_components_match_oracle_across_weak_link():
+    rng = np.random.default_rng(17)
+    below, at, above = np.nextafter(WEAK_LINK, 0.0), WEAK_LINK, np.nextafter(WEAK_LINK, 1.0)
+    for t in range(400):
+        n = int(rng.integers(1, 80))
+        density = rng.uniform(0.0, 4.0 / n)
+        w = np.where(rng.random((n, n)) < density,
+                     rng.choice([1e-13, below, at, above, 0.5], size=(n, n)), 0.0)
+        np.fill_diagonal(w, 0.0)
+        if t % 2:
+            w = np.maximum(w, w.T)
+        # an asymmetric matrix links i and j through either direction
+        assert_components_match_oracle(w)
+
+
+def test_components_isolated_and_tiny_graphs():
+    for n in (1, 2, 5):
+        assert_components_match_oracle(np.zeros((n, n)))
+    assert components(np.zeros((0, 0))) == []
+    assert components(np.zeros((1, 1))) == [[0]]
+    assert components(np.array([[0.0, 0.5], [0.5, 0.0]])) == [[0, 1]]
+    w = np.zeros((6, 6))
+    w[1, 4] = w[4, 1] = 0.5
+    assert components(w) == [[0], [1, 4], [2], [3], [5]]
+    assert_components_match_oracle(w)
+    w[2, 2] = w[5, 5] = 0.5  # a self-loop links a node to nothing else
+    assert components(w) == [[0], [1, 4], [2], [3], [5]]
+    assert_components_match_oracle(w)
+
+
+def test_components_adversarial_id_orders():
+    n = 10_000
+    path = np.random.default_rng(5).permutation(n)
+    w = sparse.coo_matrix((np.full(n - 1, 0.5), (path[:-1], path[1:])), shape=(n, n)).tocsr()
+    assert components(w) == [list(range(n))]
+    assert components(w.T) == [list(range(n))]
+    w = w + w.T
+    assert components(w) == [list(range(n))]
+    # two permuted paths, interleaved ids
+    half = w.tolil()
+    half[path[n // 2 - 1], path[n // 2]] = half[path[n // 2], path[n // 2 - 1]] = 0.0
+    assert_components_match_oracle(half.tocsr())
+    # a star whose centre has the largest id, plus one isolated node
+    m = 2_000
+    star = np.zeros((m + 1, m + 1))
+    star[m - 1, : m - 1] = star[: m - 1, m - 1] = 0.5
+    assert components(star) == [list(range(m)), [m]]
+    assert_components_match_oracle(star)
 
 
 def test_peel_smallest_component_against_rest():

@@ -20,7 +20,7 @@ import numpy as np
 from .config import Config, read_synth_spec
 from .engine import ClusterResult, lcuts
 from .errors import InputError, LcutsError
-from .geometry import Node, PointCloud, read_cloud_csv, write_cloud_csv
+from .geometry import PointCloud, read_cloud_csv, unchecked_cloud, write_cloud_csv
 from .graph import write_adjacency_csv
 from .metrics import evaluate
 from .pipeline import extract_nodes
@@ -54,7 +54,6 @@ def _result_json(result: ClusterResult, cloud: PointCloud, cfg: Config) -> str:
             "id": node.id,
             "loc": [float(v) for v in node.loc],
             "intensity": node.intensity,
-            "dir": None if node.dir is None else [float(v) for v in node.dir],
         })
     doc = {
         "params": cfg.echo(),
@@ -87,15 +86,17 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         if cloud.dim != 2:
             raise InputError("an image can only accompany a 2-D cloud")
         img = read_image(args.image)
-        nodes = []
-        for node in cloud.nodes:
-            inten = node.intensity
-            if inten is None:
-                # CSVs without intensities can still drive the intensity
-                # weighting: sample the image at the node location.
-                inten = float(np.clip(bilinear_sample(img, node.loc[0], node.loc[1]), 0.0, 1.0))
-            nodes.append(Node(id=node.id, loc=node.loc, intensity=inten))
-        cloud = PointCloud(nodes, cloud.dim, image=img)
+        # CSVs without intensities can still drive the intensity weighting:
+        # sample the image at the locations of the nodes that lack one.
+        intensities = cloud.intensities()
+        missing = [k for k, v in enumerate(intensities) if v is None]
+        locs = cloud.locs()
+        sampled = np.clip(bilinear_sample(img, locs[missing, 0], locs[missing, 1]), 0.0, 1.0)
+        for k, v in zip(missing, sampled.tolist()):
+            intensities[k] = v
+        # read_cloud_csv has validated the cloud, and only valid intensities
+        # were added, so it is not checked again.
+        cloud = unchecked_cloud(locs, intensities, image=img)
     result = lcuts(cloud, cfg.graph, cfg.voting, cfg.limits)
     if args.dump_adjacency:
         write_adjacency_csv(args.dump_adjacency, result.graph)
@@ -106,21 +107,56 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_result_json(path: str) -> dict:
+def _is_id(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_coord(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _read_result_json(path: str, with_locs: bool = False) -> tuple[dict, np.ndarray | None]:
+    """Read a cluster JSON and check what the caller uses: integer ids in
+    ``groups`` and ``outliers`` and, when ``with_locs`` is set, the node
+    locations, returned as an (n, dim) array that every id indexes."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"{path}: cannot read cluster JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: cluster JSON must be an object")
     for key in ("groups", "outliers"):
         if key not in doc:
             raise InputError(f"{path}: cluster JSON lacks the {key!r} field")
-    return doc
+    groups, outliers = doc["groups"], doc["outliers"]
+    if not isinstance(groups, list) or not all(isinstance(g, list) and all(map(_is_id, g))
+                                               for g in groups):
+        raise InputError(f"{path}: 'groups' must be a list of lists of integer ids")
+    if not isinstance(outliers, list) or not all(map(_is_id, outliers)):
+        raise InputError(f"{path}: 'outliers' must be a list of integer ids")
+    if not with_locs:
+        return doc, None
+    nodes = doc.get("nodes")
+    if not isinstance(nodes, list) or not all(isinstance(n, dict) and "loc" in n for n in nodes):
+        raise InputError(f"{path}: cluster JSON lacks node locations")
+    rows = [n["loc"] for n in nodes]
+    if (not all(isinstance(p, list) and len(p) in (2, 3) and all(map(_is_coord, p)) for p in rows)
+            or len({len(p) for p in rows}) > 1):
+        raise InputError(f"{path}: every node loc must be a list of 2 or 3 numbers, "
+                         f"all of one length")
+    locs = np.array(rows, dtype=np.float64)
+    if not np.isfinite(locs).all():
+        raise InputError(f"{path}: node locations must be finite")
+    bad = [i for g in groups + [outliers] for i in g if not 0 <= i < len(nodes)]
+    if bad:
+        raise InputError(f"{path}: node id {bad[0]} is not in 0..{len(nodes) - 1}")
+    return doc, locs
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    doc = _read_result_json(args.pred)
-    pred = [set(g) for g in doc["groups"]] + [{int(o)} for o in doc["outliers"]]
+    doc, _ = _read_result_json(args.pred)
+    pred = [set(g) for g in doc["groups"]] + [{o} for o in doc["outliers"]]
     _, truth = read_cloud_csv(args.truth)
     if truth is None:
         raise InputError(f"{args.truth}: truth CSV must carry a group column")
@@ -150,12 +186,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_render(args: argparse.Namespace) -> int:
     src = str(args.input)
     if src.lower().endswith(".json"):
-        doc = _read_result_json(src)
-        if "nodes" not in doc:
-            raise InputError(f"{src}: cluster JSON lacks node locations")
-        locs = np.array([n["loc"] for n in doc["nodes"]], dtype=np.float64)
-        groups = [list(map(int, g)) for g in doc["groups"]]
-        outliers = [int(o) for o in doc["outliers"]]
+        doc, locs = _read_result_json(src, with_locs=True)
+        groups, outliers = doc["groups"], doc["outliers"]
         fits = doc.get("perGroup")
     else:
         cloud, truth = read_cloud_csv(src)

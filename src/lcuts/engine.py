@@ -16,9 +16,11 @@ Connectivity counts only edges of weight >=
 52.6 px under the default ``sigmaD = 10``, is below what the dense
 eigensolver resolves, so a block joined only by such edges would get an
 arbitrary Fiedler split. Dead nodes are the singleton components, that is
-nodes with no link >= 1e-12 inside their group; a group of several
-components is split by peeling whole ones off (ncut 0.0), and only a
-connected group is restricted to a dense block for the Fiedler sweep.
+nodes with no link >= 1e-12 inside their group. Every union of whole
+components has Ncut 0, so a group of several components that fails its
+stop test splits into all of them in one record (ncut 0.0, one child per
+component, by smallest member); only a connected group is restricted to a
+dense block for the Fiedler sweep.
 
 The recursion carries each node's ids as a sorted int64 array of working
 (location-sorted) ids and translates the record back to the caller's ids
@@ -38,7 +40,7 @@ from .direction import VotingParams, assign_all_directions
 from .errors import InputError
 from .geometry import LineFit, PointCloud, fit_line, unchecked_cloud
 from .graph import GraphParams, WeightedGraph, build_adjacency, intensity_threshold, segment_min_intensity
-from .spectral import component_arrays, ncut_bipartition, peel
+from .spectral import component_arrays, ncut_bipartition
 
 
 @dataclass(frozen=True)
@@ -221,9 +223,9 @@ def lcuts(cloud: PointCloud, gparams: GraphParams | None = None,
                 outliers.extend(ids)
                 continue
             if len(comps) > 1:
-                # A union of whole components splits off with ncut 0.
+                # Every union of whole components has ncut 0: split into all.
                 node.ncut = 0.0
-                sides = peel(comps)
+                sides = [[c] for c in comps]
             else:
                 sub = graph.restrict(ids)
                 part = ncut_bipartition(sub)

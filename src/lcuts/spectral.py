@@ -4,9 +4,11 @@ The relaxation follows the classic recipe: eigenvector of the second-smallest
 eigenvalue of the symmetric normalized Laplacian, mapped back through
 D^(-1/2), then an exhaustive sweep over the n-1 thresholds between
 consecutive sorted entries picks the split with the smallest true Ncut.
-A graph with several connected components has an Ncut of 0 between any
-union of components and the rest; ``components`` finds them and ``peel``
-fixes which union splits off first. The Fiedler sweep runs on one connected
+``ncut_bipartition`` splits a connected graph: one whose edges of weight
+at least ``WEAK_LINK`` join every node. A graph with several such
+components has an Ncut of 0 between any union of components and the rest,
+so it needs no bipartition; the recursion in ``engine`` splits it into all
+of its components at once. The Fiedler sweep runs on one connected
 component at a time, with a dense solver: those blocks are small (hundreds
 to a few thousand nodes) and dense eigensolvers need no convergence tuning.
 
@@ -18,7 +20,7 @@ below 1e-12. A block held together only by such edges has a cluster of
 normalized-Laplacian eigenvalues at rounding level, below what a dense
 eigensolver resolves. Its "Fiedler vector" would be an arbitrary vector of
 that near-null space, and the split would depend on the LAPACK routine.
-Such a block is peeled by its components instead, with no matrix work and
+Such a block is split by its components instead, with no matrix work and
 the same result on every LAPACK build; the split records ncut 0.0 (its
 exact Ncut on the field layouts is about 1e-15).
 
@@ -40,7 +42,6 @@ smallest member.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 from scipy import sparse
@@ -98,8 +99,10 @@ def smallest_eigenpairs(matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def component_arrays(w) -> list[np.ndarray]:
-    """``components`` as sorted int64 arrays, found by the hook-and-jump
-    labeller of the module docstring."""
+    """Connected components of a dense or sparse weight matrix, linking two
+    nodes only by an edge of weight >= ``WEAK_LINK``, found by the
+    hook-and-jump labeller of the module docstring. Each component is a
+    sorted int64 array, and they are ordered by their smallest member."""
     if sparse.issparse(w):
         coo = w.tocoo()
         linked = coo.data >= WEAK_LINK
@@ -136,39 +139,22 @@ def component_arrays(w) -> list[np.ndarray]:
     return np.split(members, np.cumsum(sizes[sizes > 0]))[:-1]
 
 
-def components(w) -> list[list[int]]:
-    """Connected components of a dense or sparse weight matrix, linking two
-    nodes only by an edge of weight >= ``WEAK_LINK``; each component is
-    sorted, and they are ordered by their smallest member."""
-    return [c.tolist() for c in component_arrays(w)]
-
-
-def peel(comps: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
-    """Split components, ordered by smallest member, into the smallest one
-    (by size, then smallest id) and the rest; the side holding the smallest
-    id comes first."""
-    k = min(range(len(comps)), key=lambda i: (len(comps[i]), comps[i][0]))
-    rest = comps[:k] + comps[k + 1:]
-    return ([comps[k]], rest) if k == 0 else (rest, [comps[k]])
-
-
 def ncut_bipartition(graph: WeightedGraph) -> Bipartition:
-    """Best two-way split of a graph with at least 2 nodes.
+    """Fiedler split of a connected graph with at least 2 nodes.
 
-    A disconnected graph, one whose edges of weight >= ``WEAK_LINK`` do not
-    connect it, splits into its smallest component versus the rest (ncut
-    0). Otherwise the Fiedler sweep runs, with ties resolved toward the
-    more balanced split and then the lexicographically lower id set. The
-    returned ncut is recomputed exactly from the chosen groups.
+    The sweep takes the threshold of smallest Ncut, with ties resolved
+    toward the more balanced split and then the lexicographically lower id
+    set. The returned ncut is recomputed exactly from the chosen groups.
+    Raises DegenerateInputError when the edges of weight >= ``WEAK_LINK``
+    do not connect the graph: every union of its components then has Ncut
+    0, and ``engine.lcuts`` splits such a group into all of them.
     """
     n = graph.n
     if n < 2:
         raise DegenerateInputError("need at least 2 nodes to bipartition")
     w = graph.weights
-    comps = components(w)
-    if len(comps) > 1:
-        a, b = peel(comps)
-        return Bipartition(frozenset(chain(*a)), frozenset(chain(*b)), 0.0)
+    if len(component_arrays(w)) > 1:
+        raise DegenerateInputError("graph is not connected by edges of weight >= WEAK_LINK")
 
     # Connected with >= 2 nodes, so every degree is positive.
     deg = w.sum(axis=1)

@@ -223,8 +223,9 @@ def check_stopping(cloud: PointCloud, group, limits: StoppingLimits,
 
 
 def components(w) -> list[list[int]]:
-    """``lcuts.spectral.components`` through ``connected_components`` on a
-    sparse copy of the matrix with the edges below ``WEAK_LINK`` removed."""
+    """``lcuts.spectral.component_arrays`` as lists, through
+    ``connected_components`` on a sparse copy of the matrix with the edges
+    below ``WEAK_LINK`` removed."""
     linked = sparse.csr_matrix(w, copy=True)
     linked.data[linked.data < WEAK_LINK] = 0.0
     linked.eliminate_zeros()

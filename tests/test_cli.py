@@ -199,6 +199,49 @@ def test_exit_codes(tmp_path):
     assert "mismatch" in res.stderr
 
 
+NODES = [{"id": 0, "loc": [0.0, 0.0]}, {"id": 1, "loc": [4.0, 0.0]}]
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("evaluate", 5, "must be an object"),
+    ("render", 5, "must be an object"),
+    ("evaluate", {"groups": [[0, 1]], "outliers": ["x"]}, "'outliers' must be a list of integer ids"),
+    ("render", {"groups": [[0, 2]], "outliers": [], "nodes": NODES}, "node id 2 is not in 0..1"),
+    ("render", {"groups": [[0, 1]], "outliers": [], "nodes": [NODES[0], {"id": 1}]},
+     "lacks node locations"),
+    ("render", {"groups": [[0, 1]], "outliers": [],
+                "nodes": [NODES[0], {"id": 1, "loc": [4.0, 0.0, 1.0]}]}, "all of one length"),
+    ("render", {"groups": [[-1, 0]], "outliers": [1], "nodes": NODES}, "node id -1 is not in 0..1"),
+], ids=["evaluate-not-object", "render-not-object", "evaluate-string-id", "render-id-out-of-range",
+        "render-node-without-loc", "render-ragged-locs", "render-negative-id"])
+def test_malformed_cluster_json_exits_2(tmp_path, capsys, command, doc, message):
+    pred = tmp_path / "pred.json"
+    pred.write_text(json.dumps(doc))
+    truth = tmp_path / "t.csv"
+    truth.write_text("x,y,intensity,group\n0.0,0.0,0.5,0\n4.0,0.0,0.5,0\n")
+    rest = [truth, tmp_path / "m.json"] if command == "evaluate" else [tmp_path / "v.svg"]
+    assert cli.main(["--quiet", command, *map(str, [pred, *rest])]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_cluster_image_samples_missing_intensities(tmp_path):
+    # A node without an intensity takes the clipped bilinear sample of the
+    # image at its location, as one scalar call per node gives it; the
+    # others keep their own.
+    from lcuts.raster import bilinear_sample, read_image
+
+    write_pgm(tmp_path / "img.pgm", RasterImage(np.linspace(0.0, 1.0, 120).reshape(10, 12)))
+    (tmp_path / "c.csv").write_text("x,y,intensity\n1.5,2.25,\n3.0,2.0,0.5\n5.75,2.5,\n")
+    assert cli.main(["--quiet", "cluster", str(tmp_path / "c.csv"), str(tmp_path / "out.json"),
+                     "--image", str(tmp_path / "img.pgm")]) == 0
+    nodes = json.loads((tmp_path / "out.json").read_text())["nodes"]
+    img = read_image(tmp_path / "img.pgm")
+    want = [float(np.clip(bilinear_sample(img, x, y), 0.0, 1.0)) for x, y in ((1.5, 2.25), (5.75, 2.5))]
+    assert [n["intensity"] for n in nodes] == [want[0], 0.5, want[1]]
+    assert all(set(n) == {"id", "loc", "intensity"} for n in nodes)
+
+
 def test_evaluate_requires_truth_groups(tmp_path):
     img = tmp_path / "plain.csv"
     img.write_text("x,y,intensity\n0.0,0.0,0.5\n4.0,0.0,0.5\n")

@@ -184,8 +184,29 @@ def test_lcuts_strips_node_with_only_weak_links():
     assert [c.ids for c in res.tree.children] == [list(range(8))]
 
 
+def test_lcuts_splits_disconnected_group_into_all_components():
+    # three chains 100 px apart link by no edge >= WEAK_LINK; the ids
+    # interleave, so the chains' smallest members are 0, 1 and 2, in the
+    # order of their locations
+    sizes = (5, 3, 4)
+    pts = [None] * sum(sizes)
+    members = [[] for _ in sizes]
+    k = 0
+    for row in range(max(sizes)):
+        for c, size in enumerate(sizes):
+            if row < size:
+                pts[k] = (100.0 * c, 5.0 * row)
+                members[c].append(k)
+                k += 1
+    res = lcuts(make_cloud(pts))
+    assert res.tree.decision == "recurse" and res.tree.ncut == 0.0
+    assert [c.ids for c in res.tree.children] == members
+    assert [c.decision for c in res.tree.children] == ["accept"] * 3
+    assert res.groups == members and res.outliers == []
+
+
 def test_lcuts_tree_independent_of_eigensolver(monkeypatch):
-    # Blocks joined only by weak links peel, so no Fiedler vector is drawn
+    # Blocks joined only by weak links split by components, so no Fiedler vector is drawn
     # from a near-null space and another LAPACK routine gives the same tree.
     clouds = [generate_cloud(SynthSpec(dim=2, n_rods=60, seed=1))[0],
               generate_cloud(SynthSpec(dim=3, n_rods=40, seed=1))[0]]
@@ -252,8 +273,9 @@ def test_stopping_limits_validation():
 def reference_lcuts(cloud):
     """The restrict-and-split recursion written plainly, on default parameters:
     restrict the dense matrix to the group, strip its zero rows, check the
-    stop rules, then bipartition. Returns (tree dict, groups, outliers, forced,
-    matrix), all in the caller's node ids."""
+    stop rules, then split a disconnected group into its components (scipy's
+    graph search) or bipartition a connected one. Returns (tree dict, groups,
+    outliers, forced, matrix), all in the caller's node ids."""
     gparams, limits = GraphParams(), StoppingLimits()
     back = np.lexsort(cloud.locs().T[::-1]).tolist()
     work = PointCloud([Node(id=k, loc=cloud.nodes[i].loc, intensity=cloud.nodes[i].intensity)
@@ -288,6 +310,9 @@ def reference_lcuts(cloud):
         if chk.decision is Decision.OUTLIER:
             outliers.extend(ids)
             return record(ids, "outlier")
+        comps = oracles.components(sub)
+        if len(comps) > 1:
+            return record(ids, "recurse", ncut=0.0, children=[visit([ids[k] for k in c]) for c in comps])
         part = ncut_bipartition(WeightedGraph(sub))
         kids = [visit(sorted(ids[k] for k in side)) for side in (part.group_a, part.group_b)]
         return record(ids, "recurse", ncut=part.ncut, children=kids)

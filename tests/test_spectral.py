@@ -7,9 +7,13 @@ from scipy import sparse
 from lcuts.direction import VotingParams, assign_all_directions
 from lcuts.errors import DegenerateInputError, InputError
 from lcuts.graph import GraphParams, WeightedGraph, build_adjacency
-from lcuts.spectral import WEAK_LINK, components, ncut_bipartition, ncut_value, peel, smallest_eigenpairs
+from lcuts.spectral import WEAK_LINK, component_arrays, ncut_bipartition, ncut_value, smallest_eigenpairs
 import oracles
 from test_acceptance import fuzz_cloud
+
+
+def components(w):
+    return [c.tolist() for c in component_arrays(w)]
 
 
 def graph_from(w):
@@ -132,18 +136,13 @@ def test_bipartition_needs_two_nodes():
 
 
 def test_bipartition_disconnected():
-    g = two_cliques(2, 3)
-    part = ncut_bipartition(g)
-    assert part.ncut == 0.0
-    assert part.group_a == frozenset({0, 1})
-    assert part.group_b == frozenset({2, 3, 4})
+    with pytest.raises(DegenerateInputError):
+        ncut_bipartition(two_cliques(2, 3))
 
 
-def test_bipartition_peels_cliques_joined_below_weak_link():
-    part = ncut_bipartition(two_cliques(2, 3, inter=1e-13))
-    assert part.ncut == 0.0
-    assert part.group_a == frozenset({0, 1})
-    assert part.group_b == frozenset({2, 3, 4})
+def test_bipartition_raises_on_cliques_joined_below_weak_link():
+    with pytest.raises(DegenerateInputError):
+        ncut_bipartition(two_cliques(2, 3, inter=1e-13))
 
 
 def test_components_sorted_by_smallest_member():
@@ -227,13 +226,6 @@ def test_components_adversarial_id_orders():
     star[m - 1, : m - 1] = star[: m - 1, m - 1] = 0.5
     assert components(star) == [list(range(m)), [m]]
     assert_components_match_oracle(star)
-
-
-def test_peel_smallest_component_against_rest():
-    # smallest by size, ties to the smaller id; the side with id 0 comes first
-    assert peel([[0, 4], [1, 2, 5], [3]]) == ([[0, 4], [1, 2, 5]], [[3]])
-    assert peel([[0, 4], [1, 2], [3, 5, 6]]) == ([[0, 4]], [[1, 2], [3, 5, 6]])
-    assert peel([[0, 4, 7], [1, 2], [3, 5]]) == ([[0, 4, 7], [3, 5]], [[1, 2]])
 
 
 def test_bipartition_path_cuts_weak_edge():

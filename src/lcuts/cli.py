@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -115,10 +116,28 @@ def _is_coord(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    return _is_coord(value) and math.isfinite(value)
+
+
+def _is_vector(value, dim: int) -> bool:
+    return isinstance(value, list) and len(value) == dim and all(map(_is_finite, value))
+
+
+def _is_fit(entry, dim: int) -> bool:
+    """A ``perGroup`` entry that render can draw: null, or an object with
+    finite ``centroid`` and ``axis`` vectors of ``dim`` numbers and a finite
+    ``extent``."""
+    return entry is None or (isinstance(entry, dict) and _is_vector(entry.get("centroid"), dim)
+                             and _is_vector(entry.get("axis"), dim)
+                             and _is_finite(entry.get("extent")))
+
+
 def _read_result_json(path: str, with_locs: bool = False) -> tuple[dict, np.ndarray | None]:
     """Read a cluster JSON and check what the caller uses: integer ids in
     ``groups`` and ``outliers`` and, when ``with_locs`` is set, the node
-    locations, returned as an (n, dim) array that every id indexes."""
+    locations, returned as an (n, dim) array that every id indexes, and the
+    optional ``perGroup`` fits, one per group."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
@@ -150,6 +169,13 @@ def _read_result_json(path: str, with_locs: bool = False) -> tuple[dict, np.ndar
     bad = [i for g in groups + [outliers] for i in g if not 0 <= i < len(nodes)]
     if bad:
         raise InputError(f"{path}: node id {bad[0]} is not in 0..{len(nodes) - 1}")
+    fits = doc.get("perGroup")
+    dim = locs.shape[1] if locs.ndim == 2 else 2
+    if fits is not None and not (isinstance(fits, list) and len(fits) == len(groups)
+                                 and all(_is_fit(fit, dim) for fit in fits)):
+        raise InputError(f"{path}: 'perGroup' must hold one entry per group, each null or "
+                         f"a fit with finite 'centroid' and 'axis' of {dim} numbers and a "
+                         f"finite 'extent'")
     return doc, locs
 
 

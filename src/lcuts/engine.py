@@ -6,12 +6,13 @@ residual, a high eccentricity (skipped for tiny groups), and, when an image
 is bound, no intensity valley between consecutive nodes along the axis.
 Groups that are too long to be a single object are always split first.
 
-The affinity is zero beyond ``r``, so the graph falls apart into connected
-components, found once for the cloud and once per spectral split (both
-sides at once, with the cut edges dropped), each time by the numpy labeller
-of ``spectral.component_arrays`` on a dense matrix: the whole affinity, or
-the block that the split already restricted, masked to pairs on one side.
-Connectivity counts only edges of weight >=
+The affinity is zero beyond ``r``, so it is held sparse, as the CSR matrix
+of a ``graph.SparseGraph``, and the graph falls apart into connected
+components. They are found by the numpy labeller of
+``spectral.component_arrays``: once for the cloud, on the CSR entries, and
+once per spectral split (both sides at once, with the cut edges dropped),
+on the dense block that the split already restricted, masked to pairs on
+one side. No N x N array is made. Connectivity counts only edges of weight >=
 ``spectral.WEAK_LINK`` (1e-12): a lighter edge, such as any edge longer than
 52.6 px under the default ``sigmaD = 10``, is below what the dense
 eigensolver resolves, so a block joined only by such edges would get an
@@ -19,8 +20,8 @@ arbitrary Fiedler split. Dead nodes are the singleton components, that is
 nodes with no link >= 1e-12 inside their group. Every union of whole
 components has Ncut 0, so a group of several components that fails its
 stop test splits into all of them in one record (ncut 0.0, one child per
-component, by smallest member); only a connected group is restricted to a
-dense block for the Fiedler sweep.
+component, by smallest member); only a connected group is gathered from
+the CSR rows into a dense block for the Fiedler sweep.
 
 The recursion carries each node's ids as a sorted int64 array of working
 (location-sorted) ids and translates the record back to the caller's ids
@@ -39,7 +40,7 @@ import numpy as np
 from .direction import VotingParams, assign_all_directions
 from .errors import InputError
 from .geometry import LineFit, PointCloud, fit_line, unchecked_cloud
-from .graph import GraphParams, WeightedGraph, build_adjacency, intensity_threshold, segment_min_intensity
+from .graph import GraphParams, SparseGraph, build_adjacency, intensity_threshold, segment_min_intensity
 from .spectral import component_arrays, ncut_bipartition
 
 
@@ -106,25 +107,29 @@ class ClusterResult:
     per_group: list[LineFit | None]    # aligned with groups; None for 1-node groups
     forced: list[bool]                 # aligned with groups: accepted with a warning
     tree: TreeNode | None
-    work_graph: WeightedGraph          # the affinity matrix the clustering used, working order
+    work_graph: SparseGraph            # the affinity matrix the clustering used, working order
     rank: np.ndarray                   # caller id -> row of work_graph
 
     @property
-    def graph(self) -> WeightedGraph:
+    def graph(self) -> SparseGraph:
         """The affinity matrix the clustering used, in the caller's node
-        order. Each read builds a new N x N copy."""
-        return self.work_graph.restrict(self.rank)
+        order. Each read builds a new permuted sparse copy."""
+        return self.work_graph.permuted(np.argsort(self.rank))
 
     def group_sets(self) -> list[set[int]]:
         return [set(g) for g in self.groups]
 
 
 def check_stopping(cloud: PointCloud, group, limits: StoppingLimits,
-                   thresh: float | None = None, sampling_step: float = 0.5) -> StopCheck:
+                   thresh: float | None = None, sampling_step: float = 0.5,
+                   presorted: bool = False) -> StopCheck:
     """Classify one candidate group: accept it, recurse into it, or drop it.
 
     ``thresh`` is the global intensity threshold; pass None to skip the
-    intensity test (no image, or intensities unavailable).
+    intensity test (no image, or intensities unavailable). ``presorted``
+    says the cloud's nodes are in lexicographic location order, as in the
+    working cloud of ``lcuts``, so any sorted set of ids lists its points
+    in that order and the line fit need not sort them.
     """
     ids = np.sort(group if isinstance(group, np.ndarray) else np.fromiter(group, dtype=np.int64))
     if len(ids) < limits.min_group_size:
@@ -133,7 +138,7 @@ def check_stopping(cloud: PointCloud, group, limits: StoppingLimits,
         return StopCheck(Decision.ACCEPT)  # single node, nothing to fit or split
 
     locs = cloud.locs()
-    fit = fit_line(locs[ids])
+    fit = fit_line(locs[ids], presorted=presorted)
     if fit.extent > limits.size_limit:
         return StopCheck(Decision.RECURSE, fit=fit)
 
@@ -159,18 +164,19 @@ def lcuts(cloud: PointCloud, gparams: GraphParams | None = None,
           limits: StoppingLimits | None = None) -> ClusterResult:
     """Cluster a point cloud into approximately collinear groups.
 
-    Directions are estimated once and the affinity matrix is built once.
-    Nodes with no link >= ``WEAK_LINK`` inside their group are stripped to
-    outliers before any split; the recursion restricts the matrix only for
-    a spectral split. The result carries that matrix in working order, with
-    the permutation back to the caller's order.
+    Directions are estimated once and the sparse affinity matrix is built
+    once. Nodes with no link >= ``WEAK_LINK`` inside their group are
+    stripped to outliers before any split; the recursion restricts the
+    matrix to a dense block only for a spectral split. The result carries
+    the sparse matrix in working order, with the permutation back to the
+    caller's order.
     """
     gparams = gparams or GraphParams()
     vparams = vparams or VotingParams()
     limits = limits or StoppingLimits()
 
     if len(cloud) == 0:
-        return ClusterResult([], [], [], [], None, WeightedGraph(np.zeros((0, 0))),
+        return ClusterResult([], [], [], [], None, SparseGraph(np.zeros((0, 0))),
                              np.zeros(0, dtype=np.int64))
 
     # Work in location-sorted order: ties and rounding then resolve the same
@@ -194,7 +200,7 @@ def lcuts(cloud: PointCloud, gparams: GraphParams | None = None,
     outliers: list[int] = []
     root = TreeNode(ids=np.arange(len(work)))
     # Each entry carries the connected components of its node's ids.
-    stack = [(root, component_arrays(graph.weights))]
+    stack = [(root, component_arrays(graph.csr))]
     while stack:
         node, comps = stack.pop()
         ids = node.ids
@@ -209,12 +215,13 @@ def lcuts(cloud: PointCloud, gparams: GraphParams | None = None,
             sides = [live] if live else []
         else:
             chk = check_stopping(work, ids, limits, thresh=thresh,
-                                 sampling_step=gparams.intensity_sampling_step)
+                                 sampling_step=gparams.intensity_sampling_step, presorted=True)
             node.decision = chk.decision.value
             node.forced = chk.forced
             if chk.decision is Decision.ACCEPT:
-                # fit_line orders its points canonically, so this fit equals
-                # the fit of the group in the caller's order bit for bit.
+                # fit_line orders its points canonically (here they already
+                # are), so this fit equals the fit of the group in the
+                # caller's order bit for bit.
                 groups.append(ids)
                 forced_flags.append(chk.forced)
                 fits.append(chk.fit)

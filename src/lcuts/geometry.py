@@ -143,12 +143,14 @@ def _canonical_order(pts: np.ndarray) -> np.ndarray:
     return pts[np.lexsort(pts.T[::-1])]
 
 
-def fit_line(points) -> LineFit:
+def fit_line(points, presorted: bool = False) -> LineFit:
     """Fit a line by total least squares.
 
     The axis is the principal eigenvector of the second-moment matrix about
     the centroid; residuals are measured orthogonally to it. Coincident point
-    sets have no axis and raise DegenerateInputError.
+    sets have no axis and raise DegenerateInputError. ``presorted`` says the
+    points are distinct and already in lexicographic order, so the sort into
+    that order is skipped; the fit is the same bit for bit.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] not in (2, 3):
@@ -157,7 +159,8 @@ def fit_line(points) -> LineFit:
         raise DegenerateInputError("need at least 2 points to fit a line")
     if not np.all(np.isfinite(pts)):
         raise InputError("points contain non-finite values")
-    pts = _canonical_order(pts)
+    if not presorted:
+        pts = _canonical_order(pts)
     centroid = pts.mean(axis=0)
     resid = pts - centroid
     if not np.any(resid):

@@ -13,9 +13,12 @@ node intensities minus their population variance.
 
 Only pairs within ``r`` can have a nonzero weight, so ``build_adjacency``
 finds them with a k-d tree, evaluates the three factors for all of them at
-once, and scatters the products into a dense symmetric matrix. The segment
-minimum comes from ``segment_min_intensity``, the one sampler that the
-clustering stop test uses as well.
+once, and stores the products as one symmetric CSR matrix, a
+``SparseGraph``: it takes O(N + pairs) memory, where a dense matrix takes
+8 N^2 bytes. The clustering makes a dense ``WeightedGraph`` only for the
+block that a Fiedler sweep needs, with ``SparseGraph.restrict``. The
+segment minimum comes from ``segment_min_intensity``, the one sampler that
+the clustering stop test uses as well.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 from .errors import InputError, MissingDataError
 from .geometry import PointCloud, radius_pairs
@@ -49,7 +53,8 @@ class GraphParams:
 
 @dataclass
 class WeightedGraph:
-    """Dense symmetric affinity matrix with zero diagonal, entries in [0, 1]."""
+    """Dense symmetric affinity matrix with zero diagonal, entries in [0, 1]:
+    the block type that the Fiedler sweep of ``spectral`` takes."""
 
     weights: np.ndarray
 
@@ -74,12 +79,96 @@ class WeightedGraph:
         order. It is valid because this matrix is, so it is not checked again."""
         return _unchecked(self.weights[np.ix_(ids, ids)])
 
+    def rows(self):
+        """The rows of the matrix, in order."""
+        return iter(self.weights)
+
 
 def _unchecked(weights: np.ndarray) -> WeightedGraph:
     """Wrap a float64 matrix that is a valid affinity by construction,
     skipping the O(N^2) checks that ``WeightedGraph(weights)`` runs."""
     graph = object.__new__(WeightedGraph)
     graph.weights = weights
+    return graph
+
+
+class SparseGraph:
+    """Symmetric affinity with zero diagonal and entries in [0, 1], held as
+    one canonical CSR matrix ``csr``: sorted column indices, no duplicate
+    and no explicit zero entries.
+
+    The constructor takes a caller's dense or sparse matrix and checks it
+    once; ``build_adjacency`` and ``permuted`` make valid matrices, so they
+    skip the checks.
+    """
+
+    def __init__(self, weights) -> None:
+        csr = sparse.csr_array(weights, dtype=np.float64, copy=True)
+        if csr.ndim != 2 or csr.shape[0] != csr.shape[1]:
+            raise InputError("weights must be a square matrix")
+        csr.sum_duplicates()
+        # Written as "not 0 <= x <= 1" so that NaN fails too.
+        if not ((csr.data >= 0.0) & (csr.data <= 1.0)).all():
+            raise InputError("weights must lie in [0, 1]")
+        if (csr != csr.T).nnz:
+            raise InputError("weights must be exactly symmetric")
+        if csr.diagonal().any():
+            raise InputError("self-weights must be zero")
+        csr.eliminate_zeros()
+        self.csr = csr
+
+    @property
+    def n(self) -> int:
+        return self.csr.shape[0]
+
+    @property
+    def weights(self) -> np.ndarray:
+        """A new dense N x N copy of the matrix; the clustering never reads it."""
+        return self.csr.toarray()
+
+    def restrict(self, ids) -> WeightedGraph:
+        """The dense principal submatrix on the distinct node ids ``ids``, in
+        that order, gathered from their CSR rows: equal bit for bit to
+        ``weights[np.ix_(ids, ids)]``, without an N x N array."""
+        ids = np.asarray(ids, dtype=np.int64)
+        k = len(ids)
+        pos = np.full(self.n, -1, dtype=np.int64)
+        pos[ids] = np.arange(k)
+        indptr, indices, data = self.csr.indptr, self.csr.indices, self.csr.data
+        starts, counts = indptr[ids], indptr[ids + 1] - indptr[ids]
+        # Each stored entry of the chosen rows: its block row and its slot.
+        rows = np.repeat(np.arange(k), counts)
+        slots = np.arange(rows.size) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        cols = pos[indices[slots]]
+        inside = cols >= 0
+        block = np.zeros((k, k))
+        block[rows[inside], cols[inside]] = data[slots[inside]]
+        return _unchecked(block)
+
+    def permuted(self, new_id: np.ndarray) -> "SparseGraph":
+        """The same graph with node ``i`` renamed ``new_id[i]``, a permutation."""
+        rows = np.repeat(np.arange(self.n), np.diff(self.csr.indptr))
+        return _canonical(self.n, new_id[rows], new_id[self.csr.indices], self.csr.data)
+
+    def rows(self):
+        """The dense rows of the matrix, in order, one new array at a time."""
+        indptr, indices, data = self.csr.indptr, self.csr.indices, self.csr.data
+        for k in range(self.n):
+            row = np.zeros(self.n)
+            row[indices[indptr[k]:indptr[k + 1]]] = data[indptr[k]:indptr[k + 1]]
+            yield row
+
+
+def _canonical(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> SparseGraph:
+    """The ``SparseGraph`` with entry ``vals[k]`` at ``(rows[k], cols[k])``.
+    The positions must be distinct and off the diagonal, the entries in
+    [0, 1], and the pattern symmetric; the zeros are dropped here."""
+    nonzero = vals != 0.0
+    rows, cols, vals = rows[nonzero], cols[nonzero], vals[nonzero]
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    graph = object.__new__(SparseGraph)
+    graph.csr = sparse.csr_array((vals[order], cols[order], indptr), shape=(n, n))
     return graph
 
 
@@ -115,8 +204,8 @@ def segment_min_intensity(image: RasterImage, p: np.ndarray, q: np.ndarray,
 
 
 def build_adjacency(cloud: PointCloud, params: GraphParams,
-                    thresh: float | None = None) -> WeightedGraph:
-    """Full affinity matrix over the cloud.
+                    thresh: float | None = None) -> SparseGraph:
+    """Sparse affinity matrix over the cloud.
 
     The intensity factor participates only when an image is bound and every
     node carries an intensity; ``thresh`` can be passed to reuse a value
@@ -153,20 +242,19 @@ def build_adjacency(cloud: PointCloud, params: GraphParams,
     else:
         wi = 1.0
 
-    w = np.zeros((n, n))
     # Symmetric with a zero diagonal (pairs have i < j) and in [0, 1], since
-    # each factor is; checking that again would cost O(N^2).
-    w[ii, jj] = w[jj, ii] = wd * wt * wi
-    return _unchecked(w)
+    # each factor is, so it is not checked again.
+    w = wd * wt * wi
+    return _canonical(n, np.concatenate((ii, jj)), np.concatenate((jj, ii)), np.concatenate((w, w)))
 
 
-def write_adjacency_csv(path: str | Path, graph: WeightedGraph) -> None:
+def write_adjacency_csv(path: str | Path, graph: WeightedGraph | SparseGraph) -> None:
     """Dump the full matrix, one row per line, full float precision.
 
-    Rows are written one at a time, so no more than one line of text is
-    held in memory. The bytes are those of ``"\\n".join(rows) + "\\n"``; an
-    empty matrix gives a single newline."""
+    Rows are made and written one at a time, so no more than one dense row
+    and one line of text are held in memory. The bytes are those of
+    ``"\\n".join(rows) + "\\n"``; an empty matrix gives a single newline."""
     with Path(path).open("w", encoding="utf-8") as out:
-        for k, row in enumerate(graph.weights):
+        for k, row in enumerate(graph.rows()):
             out.write(("\n" if k else "") + ",".join(map(repr, row.tolist())))
         out.write("\n")

@@ -9,8 +9,11 @@ at least ``WEAK_LINK`` join every node. A graph with several such
 components has an Ncut of 0 between any union of components and the rest,
 so it needs no bipartition; the recursion in ``engine`` splits it into all
 of its components at once. The Fiedler sweep runs on one connected
-component at a time, with a dense solver: those blocks are small (hundreds
-to a few thousand nodes) and dense eigensolvers need no convergence tuning.
+component at a time, as a dense block, with a dense solver: those blocks are
+small (hundreds to a few thousand nodes) and dense eigensolvers need no
+convergence tuning. The sweep reads only the Fiedler vector, so
+``smallest_eigenpairs`` asks LAPACK for the two smallest eigenpairs alone,
+not for all n.
 
 Two nodes count as linked only through an edge of weight at least
 ``WEAK_LINK`` (1e-12). Lighter edges keep their weight in every degree, cut
@@ -44,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
+from scipy import linalg, sparse
 
 from .errors import DegenerateInputError, InputError
 from .graph import WeightedGraph
@@ -85,17 +88,21 @@ def ncut_value(graph: WeightedGraph, a, b) -> float:
 
 def smallest_eigenpairs(matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k smallest eigenvalues (ascending) and orthonormal eigenvectors of
-    a symmetric matrix. Symmetry is required within 1e-9."""
+    a symmetric matrix, and only those: LAPACK's relatively robust
+    representations driver (``evr``) solves for the k wanted pairs, where a
+    full solve computes all n. Symmetry is required within 1e-9, and the
+    entries must be finite."""
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError("matrix must be square")
     n = m.shape[0]
     if not 1 <= k <= n:
         raise InputError(f"k must be in 1..{n}, got {k}")
+    if not np.isfinite(m).all():
+        raise InputError("matrix entries must be finite")
     if n and float(np.abs(m - m.T).max()) > 1e-9:
         raise InputError("matrix is not symmetric within 1e-9")
-    vals, vecs = np.linalg.eigh(m)
-    return vals[:k], vecs[:, :k]
+    return linalg.eigh(m, subset_by_index=[0, k - 1], driver="evr", check_finite=False)
 
 
 def component_arrays(w) -> list[np.ndarray]:

@@ -225,6 +225,41 @@ def test_malformed_cluster_json_exits_2(tmp_path, capsys, command, doc, message)
     assert err.startswith("error: ") and message in err
 
 
+FIT = {"centroid": [2.0, 0.0], "axis": [1.0, 0.0], "std": 0.0, "eccentricity": 1.0, "extent": 4.0}
+
+
+@pytest.mark.parametrize("fits", [
+    [5],
+    [{"centroid": [2.0, 0.0], "extent": 4.0}],
+    [dict(FIT, axis=[1.0, 0.0, 0.0])],
+    [dict(FIT, centroid=[2.0, float("nan")])],
+    [dict(FIT, extent=None)],
+    [dict(FIT, extent=float("inf"))],
+    [FIT, None],
+    {"0": FIT},
+], ids=["int", "no-axis", "axis-of-3", "nan-centroid", "null-extent", "inf-extent",
+        "one-too-many", "object"])
+def test_render_rejects_malformed_per_group_fits(tmp_path, capsys, fits):
+    pred = tmp_path / "pred.json"
+    pred.write_text(json.dumps({"groups": [[0, 1]], "outliers": [], "nodes": NODES,
+                                "perGroup": fits}))
+    assert cli.main(["--quiet", "render", str(pred), str(tmp_path / "v.svg")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'perGroup' must hold one entry per group" in err
+    assert not (tmp_path / "v.svg").exists()
+
+
+def test_render_draws_valid_per_group_fits(tmp_path):
+    pred = tmp_path / "pred.json"
+    for fits, lines in (([FIT], 1), ([None], 0), (None, 0)):
+        doc = {"groups": [[0, 1]], "outliers": [], "nodes": NODES}
+        if fits is not None:
+            doc["perGroup"] = fits
+        pred.write_text(json.dumps(doc))
+        assert cli.main(["--quiet", "render", str(pred), str(tmp_path / "v.svg")]) == 0
+        assert (tmp_path / "v.svg").read_text().count("<line ") == lines
+
+
 def test_cluster_image_samples_missing_intensities(tmp_path):
     # A node without an intensity takes the clipped bilinear sample of the
     # image at its location, as one scalar call per node gives it; the

@@ -1,6 +1,12 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
-import scipy.linalg
 
 from lcuts import spectral
 from lcuts.direction import VotingParams, assign_all_directions
@@ -207,17 +213,74 @@ def test_lcuts_splits_disconnected_group_into_all_components():
 
 def test_lcuts_tree_independent_of_eigensolver(monkeypatch):
     # Blocks joined only by weak links split by components, so no Fiedler vector is drawn
-    # from a near-null space and another LAPACK routine gives the same tree.
+    # from a near-null space, and the full solve of every eigenpair by numpy gives the
+    # same tree as the default partial solve by LAPACK's evr driver. The last two clouds
+    # are the 300-rod 2-D and 200-rod 3-D field layouts of the benchmark.
     clouds = [generate_cloud(SynthSpec(dim=2, n_rods=60, seed=1))[0],
-              generate_cloud(SynthSpec(dim=3, n_rods=40, seed=1))[0]]
+              generate_cloud(SynthSpec(dim=3, n_rods=40, seed=1))[0],
+              generate_cloud(SynthSpec(dim=2, n_rods=300, seed=1))[0],
+              generate_cloud(SynthSpec(dim=3, n_rods=200, seed=1))[0]]
     base = [lcuts(cloud) for cloud in clouds]
-    monkeypatch.setattr(spectral, "smallest_eigenpairs", lambda m, k: scipy.linalg.eigh(
-        m, subset_by_index=[0, k - 1], driver="evr"))
+    solves = []
+
+    def full_eigh(m, k):
+        solves.append(len(m))
+        vals, vecs = np.linalg.eigh(m)
+        return vals[:k], vecs[:, :k]
+
+    monkeypatch.setattr(spectral, "smallest_eigenpairs", full_eigh)
     for cloud, want in zip(clouds, base):
         got = lcuts(cloud)
         assert got.tree.to_dict() == want.tree.to_dict()
         assert got.groups == want.groups
         assert got.outliers == want.outliers
+    assert solves
+
+
+# Peak resident memory allowed for clustering a 20,841-node 2-D field in a
+# fresh process, imports included. The sparse engine measured 132 MiB (about
+# 95 MiB before lcuts() starts); a dense affinity matrix alone would take
+# 8 * 20841^2 bytes, 3.2 GiB.
+FIELD_20K_RSS_MIB = 300
+
+FIELD_20K = textwrap.dedent("""
+    import json, resource
+    import numpy as np
+    from lcuts.engine import lcuts
+    from lcuts.geometry import Node, PointCloud
+
+    # 2,000 rods of 7 to 14 nodes 4 px apart, one per 80 px cell of a
+    # 45 x 45 grid, centred in the cell within 8 px; each rod is one group.
+    rng = np.random.default_rng(5)
+    rods = []
+    for k in range(2000):
+        center = (np.array([k % 45, k // 45]) + 0.5) * 80.0 + rng.uniform(-8.0, 8.0, 2)
+        angle = rng.uniform(0.0, np.pi)
+        axis = np.array([np.cos(angle), np.sin(angle)])
+        normal = np.array([-axis[1], axis[0]])
+        half = rng.uniform(12.5, 27.5)
+        t = np.arange(-half, half + 1e-9, 4.0)
+        rods.append(center + t[:, None] * axis + rng.normal(0.0, 0.5, (len(t), 1)) * normal)
+    cloud = PointCloud([Node(i, p) for i, p in enumerate(np.concatenate(rods))], 2)
+    res = lcuts(cloud)
+    peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    rod = np.repeat(np.arange(len(rods)), [len(r) for r in rods])
+    print(json.dumps({"n": len(cloud), "peak_mib": peak_mib, "outliers": len(res.outliers),
+                      "groups": len(res.groups),
+                      "pure": all(len(set(rod[g].tolist())) == 1 for g in res.groups)}))
+""")
+
+
+def test_lcuts_clusters_a_20k_node_field_in_bounded_memory():
+    env = dict(os.environ, PYTHONPATH=str(Path(spectral.__file__).resolve().parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", FIELD_20K], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["n"] > 20000
+    assert got["groups"] == 2000 and got["outliers"] == 0 and got["pure"]
+    assert got["peak_mib"] < FIELD_20K_RSS_MIB, got
 
 
 def test_lcuts_partition_property():

@@ -66,6 +66,19 @@ def test_fit_line_order_independent():
         assert a.std == b.std and a.extent == b.extent and a.eccentricity == b.eccentricity
 
 
+def test_fit_line_presorted_equals_sorting_fit_bit_for_bit():
+    rng = np.random.default_rng(6)
+    for dim in (2, 3):
+        pts = rng.uniform(0.0, 50.0, size=(40, dim))
+        pts[::4, 0] = 7.0  # ties in the first coordinate
+        ordered = pts[np.lexsort(pts.T[::-1])]
+        a = fit_line(pts)
+        b = fit_line(ordered, presorted=True)
+        for name in ("centroid", "axis"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert a.std == b.std and a.extent == b.extent and a.eccentricity == b.eccentricity
+
+
 def test_fit_line_translation_invariant():
     rng = np.random.default_rng(4)
     pts = rng.uniform(0.0, 50.0, size=(25, 3))

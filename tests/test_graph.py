@@ -6,12 +6,15 @@ import pytest
 from lcuts.direction import VotingParams, assign_all_directions
 from lcuts.errors import InputError, MissingDataError
 from lcuts.geometry import Node, PointCloud
-from lcuts.graph import (GraphParams, WeightedGraph, build_adjacency,
+from lcuts.graph import (GraphParams, SparseGraph, WeightedGraph, build_adjacency,
                          intensity_threshold, segment_min_intensity)
 from lcuts.raster import RasterImage, bilinear_sample
-from lcuts.synth import SynthSpec, generate_image
+from lcuts.spectral import component_arrays
+from lcuts.synth import SynthSpec, generate_cloud, generate_image
 from oracles import (hop_neighborhood, pairwise_distance, segment_min_scalar,
                      weight_direction, weight_distance, weight_intensity)
+from scipy import sparse
+from test_acceptance import fuzz_cloud
 
 PARAMS = GraphParams()
 
@@ -241,6 +244,102 @@ def test_weighted_graph_restrict_is_principal_submatrix():
         assert isinstance(sub, WeightedGraph)
         assert np.array_equal(sub.weights, w[np.ix_(ids, ids)])
         assert sub.n == len(ids)
+
+
+def assert_canonical(graph):
+    csr = graph.csr
+    assert csr.has_sorted_indices and csr.has_canonical_format
+    assert (csr.data != 0.0).all()
+    assert not csr.diagonal().any()
+    assert (csr != csr.T).nnz == 0
+
+
+def assert_sparse_equals_dense(graph, w, rng):
+    """Every read of ``graph`` equals the same read of its dense matrix ``w``
+    as bytes, and its components are those of the dense matrix."""
+    n = len(w)
+    assert graph.n == n and graph.weights.tobytes() == w.tobytes()
+    subsets = [[], list(range(n)), rng.permutation(n)]
+    if n:
+        subsets += [[int(rng.integers(n))],
+                    rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)]
+    for ids in subsets:
+        ids = np.asarray(ids, dtype=np.int64)
+        sub = graph.restrict(ids)
+        assert isinstance(sub, WeightedGraph)
+        assert sub.weights.tobytes() == w[np.ix_(ids, ids)].tobytes()
+    perm = rng.permutation(n)
+    rank = np.argsort(perm)
+    moved = graph.permuted(perm)
+    assert_canonical(moved)
+    assert moved.weights.tobytes() == w[np.ix_(rank, rank)].tobytes()
+    assert b"".join(row.tobytes() for row in graph.rows()) == w.tobytes()
+    assert ([c.tolist() for c in component_arrays(graph.csr)]
+            == [c.tolist() for c in component_arrays(w)])
+
+
+def test_sparse_graph_equals_dense_on_fuzz_corpus():
+    # Replays criterion 09's corpus draw for draw; the dense matrix is built
+    # here by scattering the CSR entries, as build_adjacency used to.
+    rng = np.random.default_rng(3)
+    pick = np.random.default_rng(11)
+    for t in range(500):
+        cloud = fuzz_cloud(t, rng)
+        if t % 10 == 0 and len(cloud) > 1:
+            rng.permutation(len(cloud))
+        if len(cloud) == 0:
+            continue
+        graph = build_adjacency(assign_all_directions(cloud, VotingParams()), GraphParams())
+        assert_canonical(graph)
+        coo = graph.csr.tocoo()
+        w = np.zeros((len(cloud), len(cloud)))
+        w[coo.row, coo.col] = coo.data
+        assert_sparse_equals_dense(graph, w, pick)
+
+
+def test_sparse_graph_equals_dense_on_random_matrices():
+    rng = np.random.default_rng(12)
+    for n in (0, 1, 2, 5, 40):
+        w = np.triu(rng.uniform(0.0, 1.0, size=(n, n)), 1)
+        w[w < 0.6] = 0.0
+        w = w + w.T
+        graph = SparseGraph(w)
+        assert_canonical(graph)
+        assert_sparse_equals_dense(graph, w, rng)
+        assert_sparse_equals_dense(SparseGraph(sparse.coo_array(w)), w, rng)
+
+
+def test_sparse_graph_validation():
+    with pytest.raises(InputError):
+        SparseGraph(np.array([[0.0, 0.5], [0.4, 0.0]]))  # asymmetric
+    with pytest.raises(InputError):
+        SparseGraph(np.array([[0.1, 0.5], [0.5, 0.0]]))  # nonzero diagonal
+    with pytest.raises(InputError):
+        SparseGraph(np.array([[0.0, 1.5], [1.5, 0.0]]))  # out of range
+    with pytest.raises(InputError):
+        SparseGraph(np.array([[0.0, np.nan], [np.nan, 0.0]]))
+    with pytest.raises(InputError):
+        SparseGraph(np.zeros((2, 3)))
+    assert SparseGraph(np.zeros((0, 0))).n == 0
+    # An explicit zero and an unsorted row are put in canonical form on a
+    # copy; the caller's matrix is left as it was.
+    given = sparse.csr_array((np.array([0.5, 0.0, 0.5]), np.array([2, 1, 0]),
+                              np.array([0, 2, 2, 3])), shape=(3, 3))
+    graph = SparseGraph(given)
+    assert_canonical(graph)
+    assert graph.csr.nnz == 2 and given.nnz == 3 and given.indices.tolist() == [2, 1, 0]
+    assert np.array_equal(graph.weights, given.toarray())
+
+
+def test_build_adjacency_on_a_field_equals_dense_scatter():
+    cloud, _ = generate_cloud(SynthSpec(dim=2, n_rods=60, seed=1))
+    cloud = assign_all_directions(cloud, VotingParams())
+    graph = build_adjacency(cloud, PARAMS)
+    assert_canonical(graph)
+    coo = graph.csr.tocoo()
+    w = np.zeros((len(cloud), len(cloud)))
+    w[coo.row, coo.col] = coo.data
+    assert_sparse_equals_dense(graph, w, np.random.default_rng(4))
 
 
 def test_graph_params_validation():

@@ -130,6 +130,30 @@ def test_smallest_eigenpairs_errors():
         smallest_eigenpairs(np.zeros((2, 3)), 1)
 
 
+def test_smallest_eigenpairs_rejects_non_finite():
+    for bad in (np.nan, np.inf):
+        m = np.eye(3)
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(InputError, match="finite"):
+            smallest_eigenpairs(m, 2)
+
+
+def test_smallest_eigenpairs_match_full_solve():
+    # The partial solve gives the smallest pairs of the full one, on
+    # normalized Laplacians of random graphs, up to each vector's sign.
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 10, 60):
+        w = np.triu(rng.uniform(0.0, 1.0, size=(n, n)), 1)
+        w = w + w.T
+        dinv = 1.0 / np.sqrt(w.sum(axis=1))
+        lap = np.eye(n) - w * np.multiply.outer(dinv, dinv)
+        vals, vecs = smallest_eigenpairs(lap, 2)
+        want_vals, want_vecs = np.linalg.eigh(lap)
+        assert np.allclose(vals, want_vals[:2], atol=1e-12)
+        for k in range(2):
+            assert abs(abs(vecs[:, k] @ want_vecs[:, k]) - 1.0) <= 1e-9
+
+
 def test_bipartition_needs_two_nodes():
     with pytest.raises(DegenerateInputError):
         ncut_bipartition(graph_from(np.zeros((1, 1))))

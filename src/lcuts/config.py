@@ -15,6 +15,7 @@ from .direction import VotingParams
 from .engine import StoppingLimits
 from .errors import InputError, LcutsError
 from .graph import GraphParams
+from .metrics import check_overlap_frac
 from .pipeline import PipelineParams
 from .synth import SynthSpec
 
@@ -78,6 +79,9 @@ class Config:
     limits: StoppingLimits
     pipeline: PipelineParams
     overlap_frac: float = 0.5
+
+    def __post_init__(self) -> None:
+        check_overlap_frac(self.overlap_frac)
 
     @classmethod
     def default(cls) -> "Config":

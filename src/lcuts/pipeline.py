@@ -13,6 +13,9 @@ The disk is a stack of centered horizontal segments, so the opening runs as
 folded over the row offsets that use it. Min and max never round, so this
 equals the 2-D footprint filter bit for bit. Pruning finds close detections
 with a k-d tree rather than comparing every pair.
+
+``scipy.ndimage`` is loaded by the first filter that runs, so importing this
+module, as every ``lcuts`` command does, does not load it.
 """
 
 from __future__ import annotations
@@ -20,11 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import InputError
 from .geometry import Node, PointCloud, radius_pairs
 from .raster import RasterImage, bilinear_sample
+
+# scipy.ndimage is imported inside gaussian_filter, _open_disk and
+# find_local_maxima, not here: loading it costs about 50 ms, and only the
+# extract command runs these filters.
 
 
 # Largest accepted background radius, in pixels. The opening costs time in
@@ -83,6 +89,7 @@ def gaussian_filter(img: RasterImage, sigma: float) -> RasterImage:
     must lie in (0, 100]; see ``MAX_GAUSSIAN_SIGMA``."""
     if not 0 < sigma <= MAX_GAUSSIAN_SIGMA:
         raise InputError(f"sigma must be > 0 and <= {MAX_GAUSSIAN_SIGMA:g}, got {sigma}")
+    from scipy import ndimage
     kernel = gaussian_kernel(sigma)
     out = ndimage.correlate1d(img.pixels, kernel, axis=1, mode="mirror")
     out = ndimage.correlate1d(out, kernel, axis=0, mode="mirror")
@@ -133,6 +140,7 @@ def _disk_rank(pixels: np.ndarray, half: np.ndarray, filter1d, fold) -> np.ndarr
 
 def _open_disk(pixels: np.ndarray, radius: float) -> np.ndarray:
     """Grayscale opening by the disk of ``radius`` with mirror borders."""
+    from scipy import ndimage
     half = _disk_half_widths(radius)
     eroded = _disk_rank(pixels, half, ndimage.minimum_filter1d, np.minimum)
     # The disk is its own reflection, so the dilation needs no flipped footprint.
@@ -161,6 +169,7 @@ def find_local_maxima(img: RasterImage, window: int, floor: float) -> list[np.nd
     """
     if window < 1 or window % 2 == 0:
         raise InputError(f"window must be odd and >= 1, got {window}")
+    from scipy import ndimage
     arr = img.pixels
     h, w = arr.shape
     # cvals outside the valid range so borders compare only against real pixels

@@ -31,6 +31,10 @@ _CROSS_ANGLE = (80.0, 90.0)  # crossing pairs meet at a steep angle, degrees
 _DETECTABLE_FRAC = 0.75      # ridge samples dimmer than this fraction of the
                              # peak are invisible to a maxima detector; keeps
                              # valley-side gaps wider than the hop radius
+_MAX_ROD_SAMPLES = 10_000    # nodes sampled along one rod, at most
+_GAP_SLACK = 1e-6            # rods whose bounding boxes are this much farther
+                             # apart than the gap skip the exact distance; far
+                             # above the rounding of either distance
 
 
 @dataclass(frozen=True)
@@ -50,15 +54,22 @@ class SynthSpec:
             raise InputError(f"dim must be 2 or 3, got {self.dim}")
         if self.n_rods < 0:
             raise InputError(f"nRods must be >= 0, got {self.n_rods}")
+        # Written as "not x > 0" and "x < inf" so that NaN fails too. An
+        # infinite length or gap overflows the canvas size.
         lo, hi = self.length_range
-        if not 0 < lo <= hi:
-            raise InputError(f"lengthRange must satisfy 0 < min <= max, got {self.length_range}")
-        if self.spacing_along_rod <= 0:
-            raise InputError("spacingAlongRod must be > 0")
-        if self.ortho_noise_std < 0:
-            raise InputError("orthoNoiseStd must be >= 0")
-        if self.min_rod_gap <= 0:
-            raise InputError("minRodGap must be > 0")
+        if not 0 < lo <= hi < np.inf:
+            raise InputError(f"lengthMin and lengthMax must be finite and satisfy "
+                             f"0 < lengthMin <= lengthMax, got {self.length_range}")
+        if not self.spacing_along_rod > 0:
+            raise InputError(f"spacingAlongRod must be > 0, got {self.spacing_along_rod}")
+        if not hi / self.spacing_along_rod < _MAX_ROD_SAMPLES:
+            raise InputError(f"spacingAlongRod must be > lengthMax / {_MAX_ROD_SAMPLES} "
+                             f"(at most {_MAX_ROD_SAMPLES} samples per rod), "
+                             f"got {self.spacing_along_rod}")
+        if not 0 <= self.ortho_noise_std < np.inf:
+            raise InputError(f"orthoNoiseStd must be finite and >= 0, got {self.ortho_noise_std}")
+        if not 0 < self.min_rod_gap < np.inf:
+            raise InputError(f"minRodGap must be finite and > 0, got {self.min_rod_gap}")
         if self.crossings < 0 or self.crossings * 2 > self.n_rods:
             raise InputError("crossings needs two rods each and must be >= 0")
         if self.intensity_valley is not None and not 0.0 < self.intensity_valley <= 1.0:
@@ -137,10 +148,22 @@ def _in_bounds(points: np.ndarray, side: float) -> bool:
 def _keeps_gap(rod: tuple[np.ndarray, np.ndarray],
                rods: list[tuple[np.ndarray, np.ndarray]],
                gap: float, skip: int | None = None) -> bool:
+    """Whether ``rod`` stays at least ``gap`` from every rod but ``skip``.
+
+    Two segments are no closer than their bounding boxes, so only the rods
+    whose box comes within ``gap + _GAP_SLACK`` get the exact distance.
+    """
+    if not rods:
+        return True
     p0, p1 = rod
-    for other, (q0, q1) in enumerate(rods):
+    ends = np.asarray(rods)  # (rods, 2, dim)
+    below = ends.min(axis=1) - np.maximum(p0, p1)
+    above = np.minimum(p0, p1) - ends.max(axis=1)
+    box_gap = np.sqrt((np.maximum(np.maximum(below, above), 0.0) ** 2).sum(axis=1))
+    for other in np.flatnonzero(box_gap < gap + _GAP_SLACK).tolist():
         if other == skip:
             continue
+        q0, q1 = rods[other]
         if segment_distance(p0, p1, q0, q1) < gap:
             return False
     return True

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.optimize import linear_sum_assignment
 from scipy.sparse.csgraph import connected_components
 
 from lcuts.direction import VotingParams, _hop_reach
@@ -21,6 +22,7 @@ from lcuts.geometry import PointCloud, fit_line
 from lcuts.graph import GraphParams
 from lcuts.raster import RasterImage, bilinear_sample
 from lcuts.spectral import WEAK_LINK
+from lcuts.synth import segment_distance
 
 
 # ----------------------------------------------------------------------------
@@ -234,3 +236,39 @@ def components(w) -> list[list[int]]:
     comps = [c.tolist() for c in np.split(members, np.cumsum(np.bincount(labels))[:-1])]
     comps.sort(key=lambda c: c[0])
     return comps
+
+
+# ----------------------------------------------------------------------------
+# Matching and synthesis
+
+
+def match_dense(pred: list[set[int]], truth: list[set[int]]) -> list[tuple[int, int, int]]:
+    """``lcuts.metrics._match`` through the dense P x T overlap matrix and one
+    global ``linear_sum_assignment``, whatever the overlap's structure."""
+    if set().union(*pred) != set().union(*truth):
+        raise InputError("pred and truth must cover the same node ids")
+    if not pred or not truth:
+        return []
+    pred_of = {v: i for i, g in enumerate(pred) for v in g}
+    overlap = np.zeros((len(pred), len(truth)), dtype=np.int64)
+    np.add.at(overlap, ([pred_of[v] for g in truth for v in g],
+                        np.repeat(np.arange(len(truth)), [len(g) for g in truth])), 1)
+    rows, cols = linear_sum_assignment(overlap, maximize=True)
+    matches = [
+        (int(i), int(j), int(overlap[i, j]))
+        for i, j in zip(rows, cols)
+        if overlap[i, j] > 0
+    ]
+    matches.sort()
+    return matches
+
+
+def keeps_gap(rod, rods, gap: float, skip: int | None = None) -> bool:
+    """``lcuts.synth._keeps_gap`` with one exact segment distance per placed rod."""
+    p0, p1 = rod
+    for other, (q0, q1) in enumerate(rods):
+        if other == skip:
+            continue
+        if segment_distance(p0, p1, q0, q1) < gap:
+            return False
+    return True

@@ -2,7 +2,9 @@ import json
 import re
 import subprocess
 import sys
+import textwrap
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -412,6 +414,35 @@ def test_infinite_reach_is_an_input_error(tmp_path, capsys, key):
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("key, value", [("spacingAlongRod", "nan"), ("minRodGap", "nan"),
+                                        ("lengthMax", "inf"), ("spacingAlongRod", "1e-300")])
+def test_synth_rejects_unusable_spec_values(tmp_path, capsys, key, value):
+    # Each of these ended in a ValueError or OverflowError traceback.
+    spec = tmp_path / "spec.cfg"
+    write_spec(spec, dim=2, nRods=3, seed=0, **{key: value})
+    assert cli.main(["--quiet", "synth", str(spec), str(tmp_path / "c")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert list(tmp_path.iterdir()) == [spec]
+
+
+@pytest.mark.parametrize("value", ["2.0", "nan", "0"])
+def test_bad_overlap_frac_fails_at_config_load(tmp_path, capsys, value):
+    spec = tmp_path / "spec.cfg"
+    write_spec(spec, dim=2, nRods=3, seed=0)
+    assert cli.main(["--quiet", "synth", str(spec), str(tmp_path / "c")]) == 0
+    assert cli.main(["--quiet", "cluster", str(tmp_path / "c.csv"),
+                     str(tmp_path / "pred.json")]) == 0
+    cfg = tmp_path / "bad.cfg"
+    write_spec(cfg, overlapFrac=value)
+    for argv in (["cluster", tmp_path / "c.csv", tmp_path / "out.json"],
+                 ["evaluate", tmp_path / "pred.json", tmp_path / "c.csv", tmp_path / "m.json"]):
+        assert cli.main(["--config", str(cfg), "--quiet", *map(str, argv)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: overlapFrac must be in (0, 1]"), err
+        assert not Path(argv[-1]).exists()
+
+
 def test_cluster_json_round_trips_on_fuzz_corpus_results():
     # Replays criterion 09's corpus draw for draw. json.dumps raises TypeError
     # on a numpy integer, so none may reach the cluster JSON.
@@ -427,3 +458,45 @@ def test_cluster_json_round_trips_on_fuzz_corpus_results():
             rng.permutation(len(cloud))
         text = cli._result_json(lcuts(cloud), cloud, cfg)
         assert text == json.dumps(json.loads(text)), f"trial {t}"
+
+
+LAZY_IMPORTS = textwrap.dedent("""
+    import json, os, sys
+    from pathlib import Path
+    import lcuts.cli
+    from lcuts.geometry import write_cloud_csv
+    from lcuts.raster import write_pgm
+    from lcuts.synth import SynthSpec, generate_cloud, generate_image
+
+    os.chdir(sys.argv[1])
+    spec = SynthSpec(dim=2, n_rods=5, seed=0)
+    cloud, groups = generate_cloud(spec)
+    write_cloud_csv("tiny.csv", cloud, groups)
+    write_pgm("tiny.pgm", generate_image(spec)[0])
+    Path("lumped.json").write_text(json.dumps({"groups": [list(range(len(cloud)))],
+                                               "outliers": []}))
+    loaded = {}
+    for argv in (["cluster", "tiny.csv", "pred.json"],
+                 ["evaluate", "pred.json", "tiny.csv", "metrics.json"],
+                 ["render", "pred.json", "view.svg"],
+                 ["extract", "tiny.pgm", "found.csv"],
+                 ["evaluate", "lumped.json", "tiny.csv", "lumped_metrics.json"]):
+        assert lcuts.cli.main(["--quiet", *argv]) == 0, argv
+        loaded[argv[-1]] = [m for m in ("scipy.ndimage", "scipy.optimize") if m in sys.modules]
+    print(json.dumps(loaded))
+""")
+
+
+def test_commands_load_ndimage_and_optimize_only_when_needed(tmp_path):
+    # A fresh process, since this test session has loaded both modules.
+    proc = subprocess.run([sys.executable, "-c", LAZY_IMPORTS, str(tmp_path)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    metrics = json.loads((tmp_path / "metrics.json").read_text())
+    assert metrics["gacc"] == metrics["cacc"] == 1.0
+    # cluster, scoring an exact clustering and render need neither module
+    assert loaded["pred.json"] == loaded["metrics.json"] == loaded["view.svg"] == []
+    assert loaded["found.csv"] == ["scipy.ndimage"]
+    # one group over five rods overlaps ambiguously, so it needs the solver
+    assert loaded["lumped_metrics.json"] == ["scipy.ndimage", "scipy.optimize"]

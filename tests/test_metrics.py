@@ -3,9 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
+from lcuts.engine import lcuts
 from lcuts.errors import DegenerateInputError, InputError
 from lcuts.metrics import (counting_accuracy, dice, evaluate, grouping_accuracy,
                            match_clusters)
+from oracles import match_dense
+from test_acceptance import fuzz_cloud
 
 
 def test_dice_values():
@@ -104,10 +107,12 @@ def test_counting_accuracy_one_split():
 
 
 def test_counting_accuracy_overlap_frac_range():
-    with pytest.raises(InputError):
-        counting_accuracy([{0}], [{0}], 0.0)
-    with pytest.raises(InputError):
-        counting_accuracy([{0}], [{0}], 1.5)
+    for frac in (0.0, 1.5, float("nan")):
+        with pytest.raises(InputError, match="overlapFrac"):
+            counting_accuracy([{0}], [{0}], frac)
+    # checked before the clusterings, so a bad fraction is named first
+    with pytest.raises(InputError, match="overlapFrac"):
+        evaluate([{0}], [{0, 1}], 2.0)
 
 
 def test_relabel_invariance():
@@ -152,3 +157,60 @@ def test_evaluate_report_roundtrip():
     assert doc["matches"] == [[0, 0, 3], [2, 1, 2]]
     assert doc["overlapFrac"] == 0.5
     assert 0.0 < report.gacc < 1.0
+
+
+def labels_to_groups(labels) -> list[set[int]]:
+    return [set(np.flatnonzero(labels == k).tolist()) for k in np.unique(labels)]
+
+
+def assert_matches_oracle(pred, truth):
+    want = match_dense(pred, truth)
+    assert match_clusters(pred, truth) == want
+    assert evaluate(pred, truth).matches == want
+
+
+def test_match_one_to_one_partitions_equal_dense_oracle():
+    # Two partitions of one id set overlap one to one only when they hold the
+    # same groups, so the pred side is the truth reordered.
+    rng = np.random.default_rng(40)
+    for _ in range(300):
+        n = int(rng.integers(1, 80))
+        truth = labels_to_groups(rng.integers(0, int(rng.integers(1, 12)), n))
+        pred = [truth[i] for i in rng.permutation(len(truth))]
+        assert_matches_oracle(pred, truth)
+        assert match_clusters(pred, truth) == sorted(
+            (i, truth.index(g), len(g)) for i, g in enumerate(pred))
+
+
+def test_match_ambiguous_partitions_with_ties_equal_dense_oracle():
+    rng = np.random.default_rng(41)
+    for _ in range(600):
+        n = int(rng.integers(2, 30))
+        k = int(rng.integers(1, 6))
+        truth_labels = rng.integers(0, k, n)
+        if rng.random() < 0.5:
+            # few nodes over few labels: many overlaps tie
+            pred_labels = rng.integers(0, k, n)
+        else:
+            # split each group in two by node parity, so the halves often tie
+            pred_labels = 2 * truth_labels + (np.arange(n) % 2)
+        assert_matches_oracle(labels_to_groups(pred_labels), labels_to_groups(truth_labels))
+
+
+def test_match_on_fuzz_corpus_results_equals_dense_oracle():
+    # Replays criterion 09's corpus draw for draw. Each result, outliers as
+    # singletons, is matched against a reordered copy of itself (one to one)
+    # and against a 20-unit grid labelling of the nodes (ambiguous).
+    rng = np.random.default_rng(3)
+    for t in range(500):
+        cloud = fuzz_cloud(t, rng)
+        if t % 10 == 0 and len(cloud) > 1:
+            rng.permutation(len(cloud))
+        if len(cloud) == 0:
+            continue
+        result = lcuts(cloud)
+        pred = [set(g) for g in result.groups] + [{o} for o in result.outliers]
+        assert_matches_oracle(pred, pred[::-1])
+        cells = np.floor(cloud.locs() / 20.0).astype(np.int64)
+        _, grid = np.unique(cells, axis=0, return_inverse=True)
+        assert_matches_oracle(pred, labels_to_groups(grid.ravel()))

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from lcuts import synth
 from lcuts.errors import InputError
 from lcuts.geometry import fit_line
 from lcuts.graph import GraphParams, intensity_threshold
 from lcuts.raster import bilinear_sample
 from lcuts.synth import (SynthSpec, canvas_side, generate_cloud, generate_image,
                          segment_distance)
-from oracles import weight_intensity
+from oracles import keeps_gap, weight_intensity
 
 
 def test_spec_validation():
@@ -23,6 +24,28 @@ def test_spec_validation():
         SynthSpec(crossings=1, n_rods=1)
     with pytest.raises(InputError):
         SynthSpec(intensity_valley=0.0)
+
+
+@pytest.mark.parametrize("field, value, key", [
+    ("spacing_along_rod", float("nan"), "spacingAlongRod"),
+    ("spacing_along_rod", 1e-300, "spacingAlongRod"),
+    ("spacing_along_rod", 55.0 / 10_000, "spacingAlongRod"),
+    ("min_rod_gap", float("nan"), "minRodGap"),
+    ("min_rod_gap", float("inf"), "minRodGap"),
+    ("ortho_noise_std", float("nan"), "orthoNoiseStd"),
+    ("ortho_noise_std", float("inf"), "orthoNoiseStd"),
+    ("length_range", (25.0, float("inf")), "lengthMax"),
+    ("length_range", (float("nan"), 55.0), "lengthMin"),
+])
+def test_spec_rejects_non_finite_and_oversampled_values(field, value, key):
+    with pytest.raises(InputError, match=key):
+        SynthSpec(**{field: value})
+
+
+def test_spec_accepts_the_largest_sample_count():
+    spec = SynthSpec(n_rods=1, ortho_noise_std=0.0, spacing_along_rod=55.0 / 9_999.5, seed=3)
+    cloud, _ = generate_cloud(spec)
+    assert len(cloud) <= 10_000
 
 
 def test_same_seed_same_cloud():
@@ -137,3 +160,45 @@ def test_segment_distance_cases():
     assert segment_distance((4.0, 4.0), (4.0, 4.0), (0.0, 0.0), (8.0, 0.0)) == pytest.approx(4.0)
     # disjoint colinear
     assert segment_distance((0.0, 0.0), (2.0, 0.0), (5.0, 0.0), (9.0, 0.0)) == pytest.approx(3.0)
+
+
+def random_specs(count: int) -> list[SynthSpec]:
+    rng = np.random.default_rng(50)
+    specs = []
+    for k in range(count):
+        n_rods = int(rng.integers(0, 40))
+        lo = float(rng.uniform(5.0, 40.0))
+        specs.append(SynthSpec(dim=int(rng.integers(2, 4)), n_rods=n_rods,
+                               length_range=(lo, lo + float(rng.uniform(0.0, 30.0))),
+                               spacing_along_rod=float(rng.uniform(2.0, 6.0)),
+                               min_rod_gap=float(rng.uniform(3.0, 20.0)),
+                               crossings=int(rng.integers(0, n_rods // 2 + 1)),
+                               intensity_valley=0.7 if k % 2 else None, seed=k))
+    return specs
+
+
+# The field workloads' layouts, a dense layout, the image workload's inputs of
+# generator seeds 1-3, and 60 random specs.
+LAYOUT_SPECS = ([SynthSpec(dim=2, n_rods=300, seed=1), SynthSpec(dim=3, n_rods=200, seed=1),
+                 SynthSpec(dim=2, n_rods=300, min_rod_gap=6.0, seed=1)]
+                + [SynthSpec(dim=2, n_rods=60, crossings=20, intensity_valley=0.7,
+                             seed=seed + 1000 * k) for seed in (1, 2, 3) for k in range(3)]
+                + random_specs(60))
+
+
+def test_box_pruned_gap_check_equals_scalar_loop(monkeypatch):
+    def outputs(spec):
+        cloud, groups = generate_cloud(spec)
+        if spec.dim == 3:
+            return cloud.locs(), groups
+        img, ridge, ridge_groups = generate_image(spec)
+        return cloud.locs(), groups, img.pixels, ridge.locs(), ridge.intensities(), ridge_groups
+
+    fast = [outputs(spec) for spec in LAYOUT_SPECS]
+    monkeypatch.setattr(synth, "_keeps_gap", keeps_gap)
+    for spec, got in zip(LAYOUT_SPECS, fast):
+        for a, b in zip(got, outputs(spec), strict=True):
+            if isinstance(a, np.ndarray):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), spec
+            else:
+                assert a == b, spec

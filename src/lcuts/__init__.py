@@ -12,7 +12,7 @@ from .errors import (
     SynthesisError,
 )
 from .geometry import LineFit, Node, PointCloud, fit_line, read_cloud_csv, write_cloud_csv
-from .graph import GraphParams, SparseGraph, WeightedGraph, build_adjacency, intensity_threshold
+from .graph import GraphParams, SparseGraph, build_adjacency, intensity_threshold
 from .metrics import EvalReport, counting_accuracy, dice, evaluate, grouping_accuracy, match_clusters
 from .pipeline import PipelineParams, extract_nodes, find_local_maxima, gaussian_filter, prune_nodes, subtract_background
 from .raster import RasterImage, bilinear_sample, read_csv_grid, read_image, read_pgm, write_pgm

@@ -198,11 +198,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     spec = read_synth_spec(args.spec)
+    # Rendered first, so a spec it rejects costs no rod placement and leaves no file.
+    img = generate_image(spec)[0] if spec.dim == 2 else None
     cloud, groups = generate_cloud(spec)
     prefix = Path(args.out_prefix)
     write_cloud_csv(prefix.with_suffix(".csv"), cloud, groups)
-    if spec.dim == 2:
-        img, _, _ = generate_image(spec)
+    if img is not None:
         write_pgm(prefix.with_suffix(".pgm"), img)
     if not args.quiet:
         log.info("generated %d nodes across %d rods", len(cloud), spec.n_rods)

@@ -21,7 +21,9 @@ nodes with no link >= 1e-12 inside their group. Every union of whole
 components has Ncut 0, so a group of several components that fails its
 stop test splits into all of them in one record (ncut 0.0, one child per
 component, by smallest member); only a connected group is gathered from
-the CSR rows into a dense block for the Fiedler sweep.
+the CSR rows into a dense block, a plain ``ndarray``, for the Fiedler sweep.
+Connectivity is the precondition of ``spectral.ncut_bipartition``, met here
+by construction, so the sweep does not search the block for components.
 
 The recursion carries each node's ids as a sorted int64 array of working
 (location-sorted) ids and translates the record back to the caller's ids
@@ -243,7 +245,7 @@ def lcuts(cloud: PointCloud, gparams: GraphParams | None = None,
                 half[list(part.group_b)] = 1
                 same_side = half[:, None] == half[None, :]
                 sides = [[], []]
-                for c in component_arrays(np.where(same_side, sub.weights, 0.0)):
+                for c in component_arrays(np.where(same_side, sub, 0.0)):
                     sides[half[c[0]]].append(ids[c])
         kids = [TreeNode(ids=np.sort(np.concatenate(side))) for side in sides]
         node.children.extend(kids)

@@ -15,8 +15,8 @@ Only pairs within ``r`` can have a nonzero weight, so ``build_adjacency``
 finds them with a k-d tree, evaluates the three factors for all of them at
 once, and stores the products as one symmetric CSR matrix, a
 ``SparseGraph``: it takes O(N + pairs) memory, where a dense matrix takes
-8 N^2 bytes. The clustering makes a dense ``WeightedGraph`` only for the
-block that a Fiedler sweep needs, with ``SparseGraph.restrict``. The
+8 N^2 bytes. The clustering gathers a dense block, a plain ``ndarray``, only
+for the nodes that a Fiedler sweep needs, with ``SparseGraph.restrict``. The
 segment minimum comes from ``segment_min_intensity``, the one sampler that
 the clustering stop test uses as well.
 """
@@ -49,47 +49,6 @@ class GraphParams:
         for name in ("sigma_d", "sigma_t", "intensity_sampling_step"):
             if not getattr(self, name) > 0:
                 raise InputError(f"{name} must be > 0, got {getattr(self, name)}")
-
-
-@dataclass
-class WeightedGraph:
-    """Dense symmetric affinity matrix with zero diagonal, entries in [0, 1]:
-    the block type that the Fiedler sweep of ``spectral`` takes."""
-
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise InputError("weights must be a square matrix")
-        if w.size and not np.array_equal(w, w.T):
-            raise InputError("weights must be exactly symmetric")
-        if w.size and (w.min() < 0.0 or w.max() > 1.0):
-            raise InputError("weights must lie in [0, 1]")
-        if np.any(np.diagonal(w) != 0.0):
-            raise InputError("self-weights must be zero")
-        self.weights = w
-
-    @property
-    def n(self) -> int:
-        return self.weights.shape[0]
-
-    def restrict(self, ids) -> "WeightedGraph":
-        """The principal submatrix on the distinct node ids ``ids``, in that
-        order. It is valid because this matrix is, so it is not checked again."""
-        return _unchecked(self.weights[np.ix_(ids, ids)])
-
-    def rows(self):
-        """The rows of the matrix, in order."""
-        return iter(self.weights)
-
-
-def _unchecked(weights: np.ndarray) -> WeightedGraph:
-    """Wrap a float64 matrix that is a valid affinity by construction,
-    skipping the O(N^2) checks that ``WeightedGraph(weights)`` runs."""
-    graph = object.__new__(WeightedGraph)
-    graph.weights = weights
-    return graph
 
 
 class SparseGraph:
@@ -126,10 +85,12 @@ class SparseGraph:
         """A new dense N x N copy of the matrix; the clustering never reads it."""
         return self.csr.toarray()
 
-    def restrict(self, ids) -> WeightedGraph:
+    def restrict(self, ids) -> np.ndarray:
         """The dense principal submatrix on the distinct node ids ``ids``, in
-        that order, gathered from their CSR rows: equal bit for bit to
-        ``weights[np.ix_(ids, ids)]``, without an N x N array."""
+        that order, as a new float64 array gathered from their CSR rows:
+        equal bit for bit to ``weights[np.ix_(ids, ids)]``, without an N x N
+        array. It is symmetric with a zero diagonal and entries in [0, 1],
+        as the whole matrix is."""
         ids = np.asarray(ids, dtype=np.int64)
         k = len(ids)
         pos = np.full(self.n, -1, dtype=np.int64)
@@ -143,7 +104,7 @@ class SparseGraph:
         inside = cols >= 0
         block = np.zeros((k, k))
         block[rows[inside], cols[inside]] = data[slots[inside]]
-        return _unchecked(block)
+        return block
 
     def permuted(self, new_id: np.ndarray) -> "SparseGraph":
         """The same graph with node ``i`` renamed ``new_id[i]``, a permutation."""
@@ -248,7 +209,7 @@ def build_adjacency(cloud: PointCloud, params: GraphParams,
     return _canonical(n, np.concatenate((ii, jj)), np.concatenate((jj, ii)), np.concatenate((w, w)))
 
 
-def write_adjacency_csv(path: str | Path, graph: WeightedGraph | SparseGraph) -> None:
+def write_adjacency_csv(path: str | Path, graph: SparseGraph) -> None:
     """Dump the full matrix, one row per line, full float precision.
 
     Rows are made and written one at a time, so no more than one dense row

@@ -4,13 +4,15 @@ The relaxation follows the classic recipe: eigenvector of the second-smallest
 eigenvalue of the symmetric normalized Laplacian, mapped back through
 D^(-1/2), then an exhaustive sweep over the n-1 thresholds between
 consecutive sorted entries picks the split with the smallest true Ncut.
-``ncut_bipartition`` splits a connected graph: one whose edges of weight
-at least ``WEAK_LINK`` join every node. A graph with several such
-components has an Ncut of 0 between any union of components and the rest,
-so it needs no bipartition; the recursion in ``engine`` splits it into all
-of its components at once. The Fiedler sweep runs on one connected
-component at a time, as a dense block, with a dense solver: those blocks are
-small (hundreds to a few thousand nodes) and dense eigensolvers need no
+``ncut_bipartition`` splits a connected graph, given as its dense affinity
+matrix, a plain symmetric float64 ``ndarray``: the edges of weight at least
+``WEAK_LINK`` must join every node. It does not search for components to
+check that; ``engine.lcuts`` meets it by construction. A graph with several
+such components has an Ncut of 0 between any union of components and the
+rest, so it needs no bipartition; the recursion in ``engine`` splits it
+into all of its components at once, and hands the sweep one connected
+component at a time. The sweep uses a dense solver: those blocks are small
+(hundreds to a few thousand nodes) and dense eigensolvers need no
 convergence tuning. The sweep reads only the Fiedler vector, so
 ``smallest_eigenpairs`` asks LAPACK for the two smallest eigenpairs alone,
 not for all n.
@@ -23,9 +25,9 @@ below 1e-12. A block held together only by such edges has a cluster of
 normalized-Laplacian eigenvalues at rounding level, below what a dense
 eigensolver resolves. Its "Fiedler vector" would be an arbitrary vector of
 that near-null space, and the split would depend on the LAPACK routine.
-Such a block is split by its components instead, with no matrix work and
-the same result on every LAPACK build; the split records ncut 0.0 (its
-exact Ncut on the field layouts is about 1e-15).
+``engine`` splits such a block by its components instead, with no matrix
+work and the same result on every LAPACK build; the split records ncut 0.0
+(its exact Ncut on the field layouts is about 1e-15).
 
 ``component_arrays`` finds the components with whole-array numpy steps, in
 the hook-and-jump style of Shiloach and Vishkin, so a small block costs no
@@ -50,7 +52,6 @@ import numpy as np
 from scipy import linalg, sparse
 
 from .errors import DegenerateInputError, InputError
-from .graph import WeightedGraph
 
 # Smallest edge weight that links two nodes; see the module docstring.
 WEAK_LINK = 1e-12
@@ -65,11 +66,12 @@ class Bipartition:
     ncut: float
 
 
-def ncut_value(graph: WeightedGraph, a, b) -> float:
-    """Ncut(A, B) = cut(A,B)/assoc(A,V) + cut(A,B)/assoc(B,V)."""
+def ncut_value(w: np.ndarray, a, b) -> float:
+    """Ncut(A, B) = cut(A,B)/assoc(A,V) + cut(A,B)/assoc(B,V) on the
+    symmetric affinity matrix ``w``."""
     a_idx = np.asarray(sorted(a), dtype=np.int64)
     b_idx = np.asarray(sorted(b), dtype=np.int64)
-    n = graph.n
+    n = w.shape[0]
     if a_idx.size == 0 or b_idx.size == 0:
         raise DegenerateInputError("both sides of a bipartition must be non-empty")
     marks = np.zeros(n, dtype=np.int64)
@@ -77,7 +79,6 @@ def ncut_value(graph: WeightedGraph, a, b) -> float:
     marks[b_idx] += 1
     if a_idx.size + b_idx.size != n or np.any(marks != 1):
         raise InputError("A and B must partition the node set exactly")
-    w = graph.weights
     cut = float(w[np.ix_(a_idx, b_idx)].sum())
     assoc_a = float(w[a_idx, :].sum())
     assoc_b = float(w[b_idx, :].sum())
@@ -146,25 +147,27 @@ def component_arrays(w) -> list[np.ndarray]:
     return np.split(members, np.cumsum(sizes[sizes > 0]))[:-1]
 
 
-def ncut_bipartition(graph: WeightedGraph) -> Bipartition:
-    """Fiedler split of a connected graph with at least 2 nodes.
+def ncut_bipartition(w: np.ndarray) -> Bipartition:
+    """Fiedler split of the graph with the symmetric affinity matrix ``w``.
+
+    Precondition, not checked: the edges of weight >= ``WEAK_LINK``
+    connect the graph. Every union of the components of a disconnected
+    graph has Ncut 0, so ``engine.lcuts`` splits such a group into all of
+    them and passes only connected blocks here. Outside the precondition
+    the split is still a valid bipartition, but of a near-null eigenvector.
+    Fewer than 2 nodes, or a node without any edge, raise
+    DegenerateInputError.
 
     The sweep takes the threshold of smallest Ncut, with ties resolved
     toward the more balanced split and then the lexicographically lower id
     set. The returned ncut is recomputed exactly from the chosen groups.
-    Raises DegenerateInputError when the edges of weight >= ``WEAK_LINK``
-    do not connect the graph: every union of its components then has Ncut
-    0, and ``engine.lcuts`` splits such a group into all of them.
     """
-    n = graph.n
+    n = w.shape[0]
     if n < 2:
         raise DegenerateInputError("need at least 2 nodes to bipartition")
-    w = graph.weights
-    if len(component_arrays(w)) > 1:
-        raise DegenerateInputError("graph is not connected by edges of weight >= WEAK_LINK")
-
-    # Connected with >= 2 nodes, so every degree is positive.
     deg = w.sum(axis=1)
+    if not deg.all():
+        raise DegenerateInputError("a node has no edge; the graph is not connected")
     dinv = 1.0 / np.sqrt(deg)
     norm_w = w * np.multiply.outer(dinv, dinv)
     lap = np.eye(n) - norm_w
@@ -203,4 +206,4 @@ def ncut_bipartition(graph: WeightedGraph) -> Bipartition:
     a, b = frozenset(order[: k + 1].tolist()), frozenset(order[k + 1 :].tolist())
     if min(b) < min(a):
         a, b = b, a
-    return Bipartition(a, b, ncut_value(graph, a, b))
+    return Bipartition(a, b, ncut_value(w, a, b))

@@ -32,6 +32,8 @@ _DETECTABLE_FRAC = 0.75      # ridge samples dimmer than this fraction of the
                              # peak are invisible to a maxima detector; keeps
                              # valley-side gaps wider than the hop radius
 _MAX_ROD_SAMPLES = 10_000    # nodes sampled along one rod, at most
+_MAX_CANVAS_PX = 2 ** 24     # pixels of a rendered image, at most: a 4,096 px
+                             # square, 128 MiB of float64
 _GAP_SLACK = 1e-6            # rods whose bounding boxes are this much farther
                              # apart than the gap skip the exact distance; far
                              # above the rounding of either distance
@@ -302,9 +304,12 @@ def generate_image(spec: SynthSpec) -> tuple[RasterImage, PointCloud, list[set[i
     """
     if spec.dim != 2:
         raise InputError("images can only be rendered for 2-D specs")
+    side = int(np.ceil(canvas_side(spec)))
+    if side * side > _MAX_CANVAS_PX:
+        raise InputError(f"the image would be {side} x {side} px, above the limit of "
+                         f"{_MAX_CANVAS_PX} px; lower nRods, lengthMax or minRodGap")
     rng = np.random.default_rng(spec.seed)
     rods, junctions = _place_rods(spec, rng)
-    side = int(np.ceil(canvas_side(spec)))
     img = np.zeros((side, side))
     pad = int(np.ceil(4.0 * _RIDGE_SIGMA_W + 2.0 * _RIDGE_SIGMA_L))
 

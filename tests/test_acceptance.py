@@ -16,7 +16,7 @@ import numpy as np
 from lcuts.direction import VotingParams, assign_all_directions
 from lcuts.engine import StoppingLimits, lcuts
 from lcuts.geometry import Node, PointCloud, fit_line
-from lcuts.graph import GraphParams, WeightedGraph, build_adjacency
+from lcuts.graph import GraphParams, build_adjacency
 from lcuts.metrics import (counting_accuracy, dice, evaluate, grouping_accuracy,
                            match_clusters)
 from lcuts.pipeline import PipelineParams, extract_nodes, gaussian_filter, gaussian_kernel
@@ -69,7 +69,7 @@ def test_criterion_01_planted_partition_cuts():
                 w[i, j] = rng.uniform(0.5, 1.0) if same else rng.uniform(0.001, 0.01)
         w = w + w.T
         best, side_a, side_b = brute_min_ncut(w)
-        part = ncut_bipartition(WeightedGraph(w))
+        part = ncut_bipartition(w)
         if {part.group_a, part.group_b} == {side_a, side_b}:
             exact += 1
         if part.ncut <= 1.05 * best + 1e-15:

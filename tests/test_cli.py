@@ -426,6 +426,15 @@ def test_synth_rejects_unusable_spec_values(tmp_path, capsys, key, value):
     assert list(tmp_path.iterdir()) == [spec]
 
 
+def test_synth_rejects_an_oversized_image(tmp_path, capsys):
+    spec = tmp_path / "spec.cfg"
+    write_spec(spec, dim=2, nRods=5, seed=0, minRodGap="1e5")
+    assert cli.main(["--quiet", "synth", str(spec), str(tmp_path / "c")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "minRodGap" in err
+    assert list(tmp_path.iterdir()) == [spec]
+
+
 @pytest.mark.parametrize("value", ["2.0", "nan", "0"])
 def test_bad_overlap_frac_fails_at_config_load(tmp_path, capsys, value):
     spec = tmp_path / "spec.cfg"

@@ -8,15 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lcuts import spectral
+from lcuts import engine, spectral
 from lcuts.direction import VotingParams, assign_all_directions
 from lcuts.engine import Decision, StoppingLimits, check_stopping, lcuts
 from lcuts.errors import InputError
 from lcuts.geometry import Node, PointCloud, fit_line
-from lcuts.graph import GraphParams, WeightedGraph, build_adjacency, intensity_threshold
+from lcuts.graph import GraphParams, build_adjacency, intensity_threshold
 from lcuts.metrics import evaluate
 from lcuts.raster import RasterImage
-from lcuts.spectral import WEAK_LINK, ncut_bipartition
+from lcuts.spectral import WEAK_LINK, component_arrays, ncut_bipartition
 from lcuts.synth import SynthSpec, generate_cloud, generate_image
 import oracles
 from test_acceptance import fuzz_cloud
@@ -385,7 +385,7 @@ def reference_lcuts(cloud):
         comps = oracles.components(sub)
         if len(comps) > 1:
             return record(ids, "recurse", ncut=0.0, children=[visit([ids[k] for k in c]) for c in comps])
-        part = ncut_bipartition(WeightedGraph(sub))
+        part = ncut_bipartition(sub)
         kids = [visit(sorted(ids[k] for k in side)) for side in (part.group_a, part.group_b)]
         return record(ids, "recurse", ncut=part.ncut, children=kids)
 
@@ -431,3 +431,27 @@ def test_recursion_matches_reference_on_fields():
     scattered = PointCloud([Node(id=i, loc=p) for i, p in enumerate(locs)], 3)
     for cloud in (cloud2, permuted, with_lone, scattered, cloud3, imaged):
         assert_matches_reference(cloud)
+
+
+def test_fiedler_blocks_are_connected(monkeypatch):
+    # ncut_bipartition does not search for components: lcuts() must hand it
+    # only blocks that edges >= WEAK_LINK connect.
+    blocks = []
+
+    def connected_only(w):
+        assert len(component_arrays(w)) == 1
+        blocks.append(len(w))
+        return ncut_bipartition(w)
+
+    monkeypatch.setattr(engine, "ncut_bipartition", connected_only)
+    # Replays criterion 09's corpus draw for draw.
+    rng = np.random.default_rng(3)
+    for t in range(500):
+        cloud = fuzz_cloud(t, rng)
+        if t % 10 == 0 and len(cloud) > 1:
+            rng.permutation(len(cloud))
+        lcuts(cloud)
+    # The rod layouts of the field2d and field3d benchmark workloads.
+    for spec in (SynthSpec(dim=2, n_rods=300, seed=1), SynthSpec(dim=3, n_rods=200, seed=1)):
+        lcuts(generate_cloud(spec)[0])
+    assert blocks  # the wrapper was reached

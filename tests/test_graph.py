@@ -6,7 +6,7 @@ import pytest
 from lcuts.direction import VotingParams, assign_all_directions
 from lcuts.errors import InputError, MissingDataError
 from lcuts.geometry import Node, PointCloud
-from lcuts.graph import (GraphParams, SparseGraph, WeightedGraph, build_adjacency,
+from lcuts.graph import (GraphParams, SparseGraph, build_adjacency,
                          intensity_threshold, segment_min_intensity)
 from lcuts.raster import RasterImage, bilinear_sample
 from lcuts.spectral import component_arrays
@@ -224,28 +224,6 @@ def test_build_adjacency_exactly_symmetric():
     assert w.min() >= 0.0 and w.max() <= 1.0
 
 
-def test_weighted_graph_validation():
-    with pytest.raises(InputError):
-        WeightedGraph(np.array([[0.0, 0.5], [0.4, 0.0]]))  # asymmetric
-    with pytest.raises(InputError):
-        WeightedGraph(np.array([[0.1, 0.5], [0.5, 0.0]]))  # nonzero diagonal
-    with pytest.raises(InputError):
-        WeightedGraph(np.array([[0.0, 1.5], [1.5, 0.0]]))  # out of range
-    with pytest.raises(InputError):
-        WeightedGraph(np.zeros((2, 3)))
-    assert WeightedGraph(np.zeros((0, 0))).n == 0
-
-
-def test_weighted_graph_restrict_is_principal_submatrix():
-    w = np.array([[0.0, 0.2, 0.3], [0.2, 0.0, 0.4], [0.3, 0.4, 0.0]])
-    graph = WeightedGraph(w)
-    for ids in ([2, 0], [1], [], [0, 1, 2], np.array([2, 1, 0])):
-        sub = graph.restrict(ids)
-        assert isinstance(sub, WeightedGraph)
-        assert np.array_equal(sub.weights, w[np.ix_(ids, ids)])
-        assert sub.n == len(ids)
-
-
 def assert_canonical(graph):
     csr = graph.csr
     assert csr.has_sorted_indices and csr.has_canonical_format
@@ -264,10 +242,12 @@ def assert_sparse_equals_dense(graph, w, rng):
         subsets += [[int(rng.integers(n))],
                     rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)]
     for ids in subsets:
-        ids = np.asarray(ids, dtype=np.int64)
+        # A list of ids or an array of them, as given.
         sub = graph.restrict(ids)
-        assert isinstance(sub, WeightedGraph)
-        assert sub.weights.tobytes() == w[np.ix_(ids, ids)].tobytes()
+        ids = np.asarray(ids, dtype=np.int64)
+        assert type(sub) is np.ndarray and sub.dtype == np.float64
+        assert sub.shape == (len(ids), len(ids))
+        assert sub.tobytes() == w[np.ix_(ids, ids)].tobytes()
     perm = rng.permutation(n)
     rank = np.argsort(perm)
     moved = graph.permuted(perm)

@@ -4,7 +4,7 @@ import pytest
 from lcuts.config import Config, parse_kv, read_synth_spec
 from lcuts.errors import InputError
 from lcuts.geometry import Node, PointCloud, read_cloud_csv, write_cloud_csv
-from lcuts.graph import GraphParams, WeightedGraph, build_adjacency, write_adjacency_csv
+from lcuts.graph import GraphParams, SparseGraph, build_adjacency, write_adjacency_csv
 from lcuts.raster import RasterImage, read_csv_grid, read_image, read_pgm, write_pgm
 from lcuts.synth import SynthSpec, generate_cloud
 
@@ -189,7 +189,7 @@ def test_adjacency_csv_bytes(tmp_path):
         w = np.triu(rng.uniform(0.0, 1.0, size=(n, n)) ** 9, 1)
         w = w + w.T
         path = tmp_path / f"w{n}.csv"
-        write_adjacency_csv(path, WeightedGraph(w))
+        write_adjacency_csv(path, SparseGraph(w))
         text = "\n".join(",".join(repr(float(v)) for v in row) for row in w) + "\n"
         assert path.read_bytes() == text.encode("utf-8")
 
@@ -311,9 +311,3 @@ def test_read_synth_spec(tmp_path):
     with pytest.raises(InputError):
         read_synth_spec(path)
 
-
-def test_weighted_graph_validation():
-    with pytest.raises(InputError):
-        WeightedGraph(np.array([[0.0, 1.1], [1.1, 0.0]]))  # weights above 1
-    w = np.array([[0.0, 0.5], [0.5, 0.0]])
-    assert WeightedGraph(w).n == 2

@@ -153,6 +153,19 @@ def test_canvas_grows_with_rods():
     assert big > small
 
 
+def test_image_canvas_is_bounded():
+    # The largest images of the tests and of the image2d benchmark stay
+    # well inside the bound.
+    for spec in (SynthSpec(dim=2, n_rods=300, seed=1),
+                 SynthSpec(dim=2, n_rods=60, crossings=20, intensity_valley=0.7)):
+        assert canvas_side(spec) ** 2 < synth._MAX_CANVAS_PX / 4
+    # A 447,377 px square, 1,491 GiB of float64, is refused before any of it.
+    spec = SynthSpec(dim=2, n_rods=5, min_rod_gap=1e5)
+    assert canvas_side(spec) ** 2 > synth._MAX_CANVAS_PX
+    with pytest.raises(InputError, match="px"):
+        generate_image(spec)
+
+
 def test_segment_distance_cases():
     assert segment_distance((0.0, 0.0), (10.0, 0.0), (0.0, 3.0), (10.0, 3.0)) == pytest.approx(3.0)
     assert segment_distance((0.0, 0.0), (10.0, 0.0), (5.0, -2.0), (5.0, 2.0)) == pytest.approx(0.0)

@@ -4,19 +4,36 @@ Locations are in pixel units, 2-D (x, y) or 3-D (x, y, z), with the raster
 convention that y grows downward. A total-least-squares line fit summarizes a
 group of points by its principal axis; the orthogonal residual spread and the
 projection span onto that axis drive the clustering stop rules.
+
+Coordinates are bounded by ``MAX_COORD`` = 2^53 in magnitude, where float64
+still resolves single pixels; below it no squared distance or second moment
+can overflow. The one neighbour search, ``radius_pairs``, is a cell grid in
+numpy: it sorts the points by cell once and reads each point's candidates
+from the sorted order as key ranges, in memory linear in the pairs found.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DegenerateInputError, DimensionMismatchError, InputError
 from .raster import RasterImage
+
+# Largest accepted coordinate magnitude, in pixels. Beyond 2**53 float64
+# cannot tell neighbouring pixels apart; below it a squared distance or a
+# second moment stays below 2**110, far from overflow.
+MAX_COORD = float(2 ** 53)
+# Most grid cells along one axis in radius_pairs, so that a 3-D cell key
+# stays below 2**63.
+_MAX_CELLS = 2 ** 20
+# Candidate pairs that radius_pairs checks at once: a few MiB of index
+# arrays, however crowded the cells.
+_CANDIDATE_BLOCK = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -39,6 +56,9 @@ class Node:
             raise DimensionMismatchError(f"node {self.id}: loc must be a 2- or 3-vector")
         if not np.all(np.isfinite(loc)):
             raise InputError(f"node {self.id}: non-finite location")
+        if np.abs(loc).max() > MAX_COORD:
+            raise InputError(f"node {self.id}: location {tuple(loc.tolist())} has a "
+                             "coordinate beyond +-2**53")
         object.__setattr__(self, "loc", loc)
         if self.intensity is not None:
             val = float(self.intensity)
@@ -180,13 +200,82 @@ def fit_line(points, presorted: bool = False) -> LineFit:
     return LineFit(centroid=centroid, axis=axis, std=std, eccentricity=ecc, extent=extent)
 
 
+def _candidates(start: np.ndarray, counts: np.ndarray):
+    """Source position ``k`` paired with each of ``start[k] + range(counts[k])``,
+    as (sources, partners) arrays of about ``_CANDIDATE_BLOCK`` pairs at a time."""
+    ends = np.cumsum(counts)
+    first = 0
+    while first < len(counts):
+        done = int(ends[first - 1]) if first else 0
+        last = max(first + 1, int(np.searchsorted(ends, done + _CANDIDATE_BLOCK, side="right")))
+        part = counts[first:last]
+        src = np.repeat(np.arange(first, last), part)
+        yield src, np.arange(src.size) + np.repeat(start[first:last] - (np.cumsum(part) - part), part)
+        first = last
+
+
 def radius_pairs(locs: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pairs ``i < j`` within ``radius`` padded by 1e-9 relative, and their
-    squared distances; callers apply their own exact cutoff to these."""
-    pairs = cKDTree(locs).query_pairs(radius * (1.0 + 1e-9), output_type="ndarray")
-    ii, jj = pairs[:, 0], pairs[:, 1]
-    diff = locs[ii] - locs[jj]
-    return ii, jj, (diff * diff).sum(axis=-1)
+    squared distances ``((locs[i] - locs[j]) ** 2).sum()``; callers apply
+    their own exact cutoff to these.
+
+    ``locs`` is an (N, dim) array of finite coordinates no larger than
+    ``MAX_COORD`` in magnitude. The search is a grid of cubic cells of side
+    ``reach / 2``, ``reach`` being the padded radius, raised so that no axis
+    spans more than 2**20 cells. The points are sorted once by cell key,
+    the last axis fastest. Two points within ``reach`` lie at most two cells
+    apart on every axis, so each point finds its partners in 5**(dim - 1)
+    key ranges of the sorted order: one per offset of the leading axes,
+    with five cells of the last axis in each. Only the forward half of the
+    offsets is searched, so each pair is found once. With at most 2**20
+    cells per axis the cell coordinates round by less than 2**-31 cells,
+    below the 2e-9 cells of the padding, so the pairs returned include
+    every pair within ``radius``.
+
+    For dim <= 3 a cell of side ``reach / 2`` has a diagonal below
+    ``reach``, so all points of one cell are true pairs, and the candidates
+    are O(N + pairs found), where a dense distance matrix takes O(N^2).
+    Candidates are checked in blocks of ``_CANDIDATE_BLOCK``, so the memory
+    stays O(N + pairs found) even when the 2**20 cap makes the cells coarse.
+    """
+    n, dim = locs.shape
+    reach = radius * (1.0 + 1e-9)
+    if n < 2:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
+    low = locs.min(axis=0)
+    span = float((locs.max(axis=0) - low).max())
+    # A zero radius over coincident points still needs a cell of some size.
+    side = max(reach / 2.0, span / _MAX_CELLS) or 1.0
+    # Each axis counts three cells more than it uses, so that a key range
+    # that runs past either end of a row of cells meets only empty cells.
+    cell = np.floor((locs - low) / side).astype(np.int64)
+    stride = np.ones(dim, dtype=np.int64)
+    for a in range(dim - 2, -1, -1):
+        stride[a] = stride[a + 1] * (int(cell[:, a + 1].max()) + 3)
+    key = cell @ stride
+    order = np.argsort(key, kind="stable")
+    key, pts = key[order], locs[order]
+    axes = [np.ascontiguousarray(pts[:, a]) for a in range(dim)]
+    pos = np.arange(n)
+    found: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    for lead in itertools.product(range(-2, 3), repeat=dim - 1):
+        shift = int(np.dot(lead, stride[:-1]))
+        if shift < 0:
+            continue
+        # Within the own row of cells, only the points after this one.
+        start = pos + 1 if shift == 0 else np.searchsorted(key, key + (shift - 2), side="left")
+        stop = np.searchsorted(key, key + (shift + 2), side="right")
+        for src, dst in _candidates(start, np.maximum(stop - start, 0)):
+            # The filter sums per-axis squares, cheaper than the row sum but
+            # possibly an ulp apart from it, far inside the padding. The d2
+            # returned is the row sum; (a - b)**2 == (b - a)**2 exactly, so
+            # it does not depend on which point of a pair comes first.
+            near = sum((x[src] - x[dst]) ** 2 for x in axes) <= reach * reach
+            src, dst = src[near], dst[near]
+            diff = pts[src] - pts[dst]
+            a, b = order[src], order[dst]
+            found.append((np.minimum(a, b), np.maximum(a, b), (diff * diff).sum(axis=-1)))
+    return tuple(map(np.concatenate, zip(*found)))
 
 
 # ----------------------------------------------------------------------------
@@ -248,6 +337,11 @@ def read_cloud_csv(path: str | Path) -> tuple[PointCloud, list[set[int]] | None]
     if bad.size:
         k = int(bad[0])
         raise InputError(f"{path}:{lines[k]}: node {k}: non-finite location")
+    bad = np.flatnonzero((np.abs(locs) > MAX_COORD).any(axis=1))
+    if bad.size:
+        k = int(bad[0])
+        raise InputError(f"{path}:{lines[k]}: node {k}: location {tuple(locs[k].tolist())} "
+                         "has a coordinate beyond +-2**53")
     bad = [k for k, v in enumerate(intensities) if v is not None and not 0.0 <= v <= 1.0]
     if bad:
         k = bad[0]

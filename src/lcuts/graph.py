@@ -12,13 +12,14 @@ corresponding factor into 1. The intensity threshold is the midrange of the
 node intensities minus their population variance.
 
 Only pairs within ``r`` can have a nonzero weight, so ``build_adjacency``
-finds them with a k-d tree, evaluates the three factors for all of them at
-once, and stores the products as one symmetric CSR matrix, a
-``SparseGraph``: it takes O(N + pairs) memory, where a dense matrix takes
-8 N^2 bytes. The clustering gathers a dense block, a plain ``ndarray``, only
-for the nodes that a Fiedler sweep needs, with ``SparseGraph.restrict``. The
-segment minimum comes from ``segment_min_intensity``, the one sampler that
-the clustering stop test uses as well.
+finds them with the cell grid of ``radius_pairs``, evaluates the three
+factors for all of them at once, and stores the products as one symmetric
+CSR matrix, a ``SparseGraph``: it takes O(N + pairs) memory, where a dense
+matrix takes 8 N^2 bytes. The clustering gathers a dense block, a plain
+``ndarray``, only for the nodes that a Fiedler sweep needs, with
+``SparseGraph.restrict``. The segment minimum comes from
+``segment_min_intensity``, the one sampler that the clustering stop test
+uses as well.
 """
 
 from __future__ import annotations
@@ -126,7 +127,9 @@ def _canonical(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> 
     [0, 1], and the pattern symmetric; the zeros are dropped here."""
     nonzero = vals != 0.0
     rows, cols, vals = rows[nonzero], cols[nonzero], vals[nonzero]
-    order = np.lexsort((cols, rows))
+    # One key per position, row-major; the keys are distinct, so any sort
+    # gives the (row, column) order.
+    order = np.argsort(rows.astype(np.int64) * n + cols)
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
     graph = object.__new__(SparseGraph)
     graph.csr = sparse.csr_array((vals[order], cols[order], indptr), shape=(n, n))

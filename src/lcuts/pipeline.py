@@ -12,7 +12,7 @@ The disk is a stack of centered horizontal segments, so the opening runs as
 ``minimum_filter1d`` or ``maximum_filter1d`` per distinct segment width,
 folded over the row offsets that use it. Min and max never round, so this
 equals the 2-D footprint filter bit for bit. Pruning finds close detections
-with a k-d tree rather than comparing every pair.
+with the cell grid of ``radius_pairs`` rather than comparing every pair.
 
 ``scipy.ndimage`` is loaded by the first filter that runs, so importing this
 module, as every ``lcuts`` command does, does not load it.
@@ -29,8 +29,8 @@ from .geometry import Node, PointCloud, radius_pairs
 from .raster import RasterImage, bilinear_sample
 
 # scipy.ndimage is imported inside gaussian_filter, _open_disk and
-# find_local_maxima, not here: loading it costs about 50 ms, and only the
-# extract command runs these filters.
+# find_local_maxima, not here: loading it costs about 50 ms and pulls in
+# scipy.special, and only the extract command runs these filters.
 
 
 # Largest accepted background radius, in pixels. The opening costs time in
@@ -199,7 +199,7 @@ def prune_nodes(points: list[np.ndarray], img: RasterImage, params: PipelinePara
     vals = bilinear_sample(img, pts[:, 0], pts[:, 1])
     # Brightest first; ties resolved by raster order for determinism.
     order = np.lexsort((pts[:, 0], pts[:, 1], -vals))
-    # Only detections the k-d tree pairs up can fail the separation test.
+    # Only detections that radius_pairs pairs up can fail the separation test.
     ii, jj, _ = radius_pairs(pts, params.min_separation)
     close: list[list[int]] = [[] for _ in range(len(pts))]
     for i, j in zip(ii.tolist(), jj.tolist()):

@@ -272,3 +272,29 @@ def keeps_gap(rod, rods, gap: float, skip: int | None = None) -> bool:
         if segment_distance(p0, p1, q0, q1) < gap:
             return False
     return True
+
+
+def canonical_csr(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
+    """The (indptr, indices, data) of the CSR matrix with the nonzero
+    ``vals[k]`` at the distinct positions ``(rows[k], cols[k])``, ordered
+    by ``np.lexsort`` on (row, column)."""
+    nonzero = vals != 0.0
+    rows, cols, vals = rows[nonzero], cols[nonzero], vals[nonzero]
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    return indptr, cols[order], vals[order]
+
+
+# ----------------------------------------------------------------------------
+# Neighbour search
+
+
+def radius_pairs(locs: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pairs ``i < j`` within ``radius`` padded by 1e-9 relative, and their
+    squared distances, from scipy's k-d tree."""
+    from scipy.spatial import cKDTree
+
+    pairs = cKDTree(locs).query_pairs(radius * (1.0 + 1e-9), output_type="ndarray")
+    ii, jj = pairs[:, 0], pairs[:, 1]
+    diff = locs[ii] - locs[jj]
+    return ii, jj, (diff * diff).sum(axis=-1)

@@ -400,6 +400,26 @@ def test_huge_gaussian_sigma_exits_2_at_once(tmp_path, capsys, sigma):
     assert not (tmp_path / "found.csv").exists()
 
 
+def test_coordinates_up_to_2_53_cluster_and_beyond_exit_2(tmp_path, capsys):
+    # 2**53 is the largest accepted magnitude; the next float up is refused
+    # with the line that holds it, before any pair search could overflow.
+    top = 2.0 ** 53
+    rows = ["x,y,intensity", "0.0,0.0,", "0.0,3.0,", "4.0,3.0,", f"{top!r},0.0,", f"0.0,{-top!r},"]
+    cloud = tmp_path / "far.csv"
+    cloud.write_text("\n".join(rows) + "\n")
+    assert cli.main(["--quiet", "cluster", str(cloud), str(tmp_path / "far.json")]) == 0
+    doc = json.loads((tmp_path / "far.json").read_text())
+    assert doc["groups"] == [[0, 1, 2]] and doc["outliers"] == [3, 4]
+    beyond = float(np.nextafter(top, np.inf))
+    for k, row in ((4, f"{beyond!r},0.0,"), (5, f"0.0,{-beyond!r},")):
+        cloud.write_text("\n".join(rows[:k] + [row] + rows[k + 1:]) + "\n")
+        out = tmp_path / "out.json"
+        assert cli.main(["--quiet", "cluster", str(cloud), str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{cloud}:{k + 1}: node {k - 1}: " in err
+        assert "beyond +-2**53" in err and not out.exists()
+
+
 @pytest.mark.parametrize("key", ["r", "hopRadius"])
 def test_infinite_reach_is_an_input_error(tmp_path, capsys, key):
     spec = tmp_path / "spec.cfg"
@@ -491,21 +511,25 @@ LAZY_IMPORTS = textwrap.dedent("""
                  ["extract", "tiny.pgm", "found.csv"],
                  ["evaluate", "lumped.json", "tiny.csv", "lumped_metrics.json"]):
         assert lcuts.cli.main(["--quiet", *argv]) == 0, argv
-        loaded[argv[-1]] = [m for m in ("scipy.ndimage", "scipy.optimize") if m in sys.modules]
+        loaded[argv[-1]] = [m for m in ("scipy.ndimage", "scipy.optimize", "scipy.spatial",
+                                        "scipy.special") if m in sys.modules]
     print(json.dumps(loaded))
 """)
 
 
 def test_commands_load_ndimage_and_optimize_only_when_needed(tmp_path):
-    # A fresh process, since this test session has loaded both modules.
+    # A fresh process, since this test session has loaded all four modules.
     proc = subprocess.run([sys.executable, "-c", LAZY_IMPORTS, str(tmp_path)],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
     metrics = json.loads((tmp_path / "metrics.json").read_text())
     assert metrics["gacc"] == metrics["cacc"] == 1.0
-    # cluster, scoring an exact clustering and render need neither module
+    # cluster, scoring an exact clustering and render load none of the four;
+    # extract loads scipy.ndimage, which brings in scipy.special only
     assert loaded["pred.json"] == loaded["metrics.json"] == loaded["view.svg"] == []
-    assert loaded["found.csv"] == ["scipy.ndimage"]
-    # one group over five rods overlaps ambiguously, so it needs the solver
-    assert loaded["lumped_metrics.json"] == ["scipy.ndimage", "scipy.optimize"]
+    assert loaded["found.csv"] == ["scipy.ndimage", "scipy.special"]
+    # one group over five rods overlaps ambiguously, so it needs the solver,
+    # and importing scipy.optimize loads scipy.spatial
+    assert loaded["lumped_metrics.json"] == ["scipy.ndimage", "scipy.optimize", "scipy.spatial",
+                                             "scipy.special"]

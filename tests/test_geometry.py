@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from lcuts import geometry
 from lcuts.errors import DegenerateInputError, DimensionMismatchError, InputError
-from lcuts.geometry import Node, PointCloud, fit_line
+from lcuts.geometry import MAX_COORD, Node, PointCloud, fit_line, radius_pairs
 from oracles import pairwise_distance
+from oracles import radius_pairs as tree_radius_pairs
+from test_acceptance import fuzz_cloud
 
 
 def svd_line(pts):
@@ -137,6 +140,11 @@ def test_node_validation():
         Node(id=0, loc=np.array([1.0, 2.0]), dir=np.array([1.0, 0.0, 0.0]))
     with pytest.raises(InputError):
         Node(id=0, loc=np.array([1.0, 2.0]), dir=np.array([1.0, 1.0]))
+    # coordinates up to 2**53 in magnitude, and no further
+    Node(id=0, loc=np.array([MAX_COORD, -MAX_COORD, 0.0]))
+    for far in (np.nextafter(MAX_COORD, np.inf), -np.nextafter(MAX_COORD, np.inf)):
+        with pytest.raises(InputError, match=r"beyond \+-2\*\*53"):
+            Node(id=0, loc=np.array([0.0, far]))
 
 
 def test_cloud_validation():
@@ -153,3 +161,89 @@ def test_cloud_validation():
                     Node(id=1, loc=np.array([2.0, 2.0]))], 2)  # duplicate location
     with pytest.raises(DimensionMismatchError):
         PointCloud(nodes, 3)
+
+
+# ----------------------------------------------------------------------------
+# radius_pairs against scipy's k-d tree
+
+
+def kept_pairs(pairs, keep):
+    """The pairs a caller's cutoff keeps, ordered by (i, j)."""
+    ii, jj, d2 = pairs
+    sel = keep(d2)
+    order = np.lexsort((jj[sel], ii[sel]))
+    return ii[sel][order], jj[sel][order], d2[sel][order]
+
+
+def assert_pairs_match_tree(locs, radius):
+    got = radius_pairs(locs, radius)
+    ii, jj, d2 = got
+    assert ii.dtype == jj.dtype == np.intp and d2.dtype == np.float64
+    assert (ii < jj).all()
+    assert len(set(zip(ii.tolist(), jj.tolist()))) == len(ii)  # each pair once
+    want = tree_radius_pairs(locs, radius)
+    # The callers' exact cutoffs: build_adjacency and prune_nodes keep
+    # sqrt(d2) <= r, _hop_reach keeps d2 <= r * r.
+    for keep in (lambda d2: np.sqrt(d2) <= radius, lambda d2: d2 <= radius * radius):
+        for a, b in zip(kept_pairs(got, keep), kept_pairs(want, keep)):
+            assert a.tobytes() == b.tobytes(), (len(locs), radius)
+
+
+def lattice_cloud(rng, n, dim, scale):
+    """Distinct points of a coarse integer lattice around the origin: many
+    pairs sit exactly at integer radii and on cell borders."""
+    return np.unique(rng.integers(-12, 13, size=(n, dim)), axis=0) * scale
+
+
+def test_radius_pairs_matches_tree_on_fuzz_corpus():
+    # Replays criterion 09's corpus draw for draw, at the callers' default
+    # radii: minSeparation, hopRadius and minNeighborDist, and r.
+    rng = np.random.default_rng(3)
+    for t in range(500):
+        cloud = fuzz_cloud(t, rng)
+        if t % 10 == 0 and len(cloud) > 1:
+            rng.permutation(len(cloud))
+        for radius in (2.0, 5.0, 60.0):
+            assert_pairs_match_tree(cloud.locs(), radius)
+
+
+def test_radius_pairs_matches_tree_on_lattices():
+    rng = np.random.default_rng(21)
+    for t in range(120):
+        dim = 2 + t % 2
+        locs = lattice_cloud(rng, int(rng.integers(2, 400)), dim, float(rng.choice([0.5, 1.0, 3.0])))
+        for radius in (1.0, 2.0, 2.5, 5.0, 13.0):
+            assert_pairs_match_tree(locs, radius)
+
+
+def test_radius_pairs_small_and_degenerate_clouds():
+    for dim in (2, 3):
+        for n in (0, 1, 2):
+            locs = np.arange(n * dim, dtype=np.float64).reshape(n, dim)
+            for radius in (0.0, 1.0, 1e6):
+                assert_pairs_match_tree(locs, radius)
+                assert_pairs_match_tree(np.ones((n, dim)), radius)  # coincident
+        line = np.arange(-40.0, 41.0)
+        for axis in range(dim):
+            locs = np.zeros((len(line), dim))
+            locs[:, axis] = line * 1.5
+            for radius in (1.5, 3.0, 7.0):
+                assert_pairs_match_tree(locs, radius)
+    negative = -np.random.default_rng(22).uniform(100.0, 200.0, size=(300, 2))
+    assert_pairs_match_tree(negative, 6.0)
+    # a radius far beyond the span puts every point in one cell
+    assert_pairs_match_tree(np.random.default_rng(23).uniform(0.0, 10.0, size=(60, 3)), 1e9)
+
+
+def test_radius_pairs_far_beyond_the_cell_cap(monkeypatch):
+    # The outliers stretch the span to 2**54 on every axis, so the cells are
+    # 2**34 px wide and every point of the lattice shares one; candidates are
+    # checked in blocks, here of 64 pairs.
+    monkeypatch.setattr(geometry, "_CANDIDATE_BLOCK", 64)
+    rng = np.random.default_rng(24)
+    for dim in (2, 3):
+        outliers = np.array([[MAX_COORD] * dim, [-MAX_COORD] * dim, [MAX_COORD, 0.0, -MAX_COORD][:dim]])
+        locs = np.concatenate([lattice_cloud(rng, 300, dim, 1.0), outliers])
+        for radius in (0.0, 2.0, 5.0):
+            assert_pairs_match_tree(locs, radius)
+        assert_pairs_match_tree(lattice_cloud(rng, 200, dim, 0.5), 2.5)

@@ -6,12 +6,12 @@ import pytest
 from lcuts.direction import VotingParams, assign_all_directions
 from lcuts.errors import InputError, MissingDataError
 from lcuts.geometry import Node, PointCloud
-from lcuts.graph import (GraphParams, SparseGraph, build_adjacency,
+from lcuts.graph import (GraphParams, SparseGraph, _canonical, build_adjacency,
                          intensity_threshold, segment_min_intensity)
 from lcuts.raster import RasterImage, bilinear_sample
 from lcuts.spectral import component_arrays
 from lcuts.synth import SynthSpec, generate_cloud, generate_image
-from oracles import (hop_neighborhood, pairwise_distance, segment_min_scalar,
+from oracles import (canonical_csr, hop_neighborhood, pairwise_distance, segment_min_scalar,
                      weight_direction, weight_distance, weight_intensity)
 from scipy import sparse
 from test_acceptance import fuzz_cloud
@@ -287,6 +287,44 @@ def test_sparse_graph_equals_dense_on_random_matrices():
         assert_canonical(graph)
         assert_sparse_equals_dense(graph, w, rng)
         assert_sparse_equals_dense(SparseGraph(sparse.coo_array(w)), w, rng)
+
+
+def assert_one_key_order(n, rows, cols, vals):
+    """_canonical's CSR arrays equal those of the (row, column) lexsort."""
+    csr = _canonical(n, rows, cols, vals).csr
+    indptr, indices, data = canonical_csr(n, rows, cols, vals)
+    assert csr.indptr.tolist() == indptr.tolist()
+    assert csr.indices.tolist() == indices.tolist()
+    assert csr.data.tobytes() == data.tobytes()
+
+
+def test_canonical_one_key_sort_equals_lexsort_on_fuzz_corpus():
+    rng = np.random.default_rng(3)
+    shuffle = np.random.default_rng(13)
+    for t in range(500):
+        cloud = fuzz_cloud(t, rng)
+        if t % 10 == 0 and len(cloud) > 1:
+            rng.permutation(len(cloud))
+        coo = build_adjacency(assign_all_directions(cloud, VotingParams()), GraphParams()).csr.tocoo()
+        order = shuffle.permutation(coo.nnz)
+        assert_one_key_order(len(cloud), coo.row[order], coo.col[order], coo.data[order])
+
+
+def test_canonical_one_key_sort_equals_lexsort_on_random_patterns():
+    rng = np.random.default_rng(14)
+    for n in (0, 1, 2, 3, 5, 40, 300):
+        for density in (0.05, 0.5, 1.0):
+            upper = np.triu(rng.uniform(size=(n, n)) < density, 1)
+            rows, cols = np.nonzero(upper | upper.T)
+            vals = rng.uniform(size=len(rows))
+            vals[rng.uniform(size=len(rows)) < 0.2] = 0.0  # dropped by both
+            order = rng.permutation(len(rows))
+            assert_one_key_order(n, rows[order], cols[order], vals[order])
+    # int32 ids whose row * n + column overflows 32 bits
+    n = 100_000
+    rows = np.array([n - 1, 70_000, 5, n - 2], dtype=np.int32)
+    cols = np.array([n - 2, 5, 70_000, n - 1], dtype=np.int32)
+    assert_one_key_order(n, rows, cols, np.array([0.25, 0.5, 0.5, 0.25]))
 
 
 def test_sparse_graph_validation():

@@ -150,6 +150,8 @@ def test_cloud_csv_errors(tmp_path):
     for row, what in [("nan,0.0,0.5", "non-finite location"),
                       ("2.0,inf,0.5", "non-finite location"),
                       ("-inf,1.0,", "non-finite location"),
+                      ("2.0,-9007199254740994.0,", "location (2.0, -9007199254740994.0) has a "
+                                                   "coordinate beyond +-2**53"),
                       ("2.0,0.0,1.5", "intensity 1.5 outside [0, 1]"),
                       ("2.0,0.0,-0.25", "intensity -0.25 outside [0, 1]"),
                       ("2.0,0.0,nan", "intensity nan outside [0, 1]"),

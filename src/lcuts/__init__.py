@@ -8,6 +8,7 @@ from .errors import (
     InputError,
     LcutsError,
     MissingDataError,
+    NodeError,
     OutOfBoundsError,
     SynthesisError,
 )

@@ -21,7 +21,7 @@ import numpy as np
 from .config import Config, read_synth_spec
 from .engine import ClusterResult, lcuts
 from .errors import InputError, LcutsError
-from .geometry import PointCloud, read_cloud_csv, unchecked_cloud, write_cloud_csv
+from .geometry import PointCloud, read_cloud_csv, write_cloud_csv
 from .graph import write_adjacency_csv
 from .metrics import evaluate
 from .pipeline import extract_nodes
@@ -37,25 +37,12 @@ def _load_config(path: str | None) -> Config:
 
 
 def _result_json(result: ClusterResult, cloud: PointCloud, cfg: Config) -> str:
-    fits = []
-    for fit in result.per_group:
-        if fit is None:
-            fits.append(None)
-        else:
-            fits.append({
-                "centroid": [float(v) for v in fit.centroid],
-                "axis": [float(v) for v in fit.axis],
-                "std": fit.std,
-                "eccentricity": fit.eccentricity,
-                "extent": fit.extent,
-            })
-    nodes = []
-    for node in cloud.nodes:
-        nodes.append({
-            "id": node.id,
-            "loc": [float(v) for v in node.loc],
-            "intensity": node.intensity,
-        })
+    fits = [None if fit is None else {"centroid": fit.centroid.tolist(), "axis": fit.axis.tolist(),
+                                      "std": fit.std, "eccentricity": fit.eccentricity,
+                                      "extent": fit.extent}
+            for fit in result.per_group]
+    nodes = [{"id": k, "loc": loc, "intensity": None if math.isnan(v) else v}
+             for k, (loc, v) in enumerate(zip(cloud.locs().tolist(), cloud.intensities().tolist()))]
     doc = {
         "params": cfg.echo(),
         "n": len(cloud),
@@ -86,18 +73,15 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     if args.image:
         if cloud.dim != 2:
             raise InputError("an image can only accompany a 2-D cloud")
-        img = read_image(args.image)
+        # Binding the image first refuses nodes it does not cover.
+        cloud = cloud.with_image(read_image(args.image))
         # CSVs without intensities can still drive the intensity weighting:
         # sample the image at the locations of the nodes that lack one.
-        intensities = cloud.intensities()
-        missing = [k for k, v in enumerate(intensities) if v is None]
-        locs = cloud.locs()
-        sampled = np.clip(bilinear_sample(img, locs[missing, 0], locs[missing, 1]), 0.0, 1.0)
-        for k, v in zip(missing, sampled.tolist()):
-            intensities[k] = v
-        # read_cloud_csv has validated the cloud, and only valid intensities
-        # were added, so it is not checked again.
-        cloud = unchecked_cloud(locs, intensities, image=img)
+        locs, intensities = cloud.locs(), cloud.intensities().copy()
+        missing = np.isnan(intensities)
+        intensities[missing] = np.clip(
+            bilinear_sample(cloud.image, locs[missing, 0], locs[missing, 1]), 0.0, 1.0)
+        cloud = PointCloud.from_arrays(locs, intensities, image=cloud.image)
     result = lcuts(cloud, cfg.graph, cfg.voting, cfg.limits)
     if args.dump_adjacency:
         write_adjacency_csv(args.dump_adjacency, result.graph)
@@ -140,7 +124,7 @@ def _read_result_json(path: str, with_locs: bool = False) -> tuple[dict, np.ndar
     optional ``perGroup`` fits, one per group."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"{path}: cannot read cluster JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{path}: cluster JSON must be an object")
@@ -289,7 +273,9 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # A path that cannot be opened, read or written: missing, a
+        # directory, or not permitted.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LcutsError as exc:

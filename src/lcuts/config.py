@@ -33,6 +33,8 @@ def parse_kv(path: str | Path) -> dict[str, str]:
     """Read a flat key=value file into a string dict (last duplicate wins)."""
     try:
         text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
     except OSError as exc:
         raise InputError(f"{path}: {exc}") from exc
     out: dict[str, str] = {}

@@ -34,7 +34,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import InputError
-from .geometry import PointCloud, radius_pairs, unchecked_cloud
+from .geometry import PointCloud, radius_pairs
 
 log = logging.getLogger(__name__)
 
@@ -144,14 +144,15 @@ def _vote_all(locs: np.ndarray, reach: sparse.csr_matrix, n_bins: int) -> tuple[
 def assign_all_directions(cloud: PointCloud, params: VotingParams) -> PointCloud:
     """Estimate a direction for every node, returning a new cloud.
 
-    Nodes with empty neighborhoods keep ``dir=None``; their count is logged.
+    Nodes with empty neighborhoods get a NaN row in ``dirs()``; their count
+    is logged.
     """
-    if not cloud.nodes:
+    if not len(cloud):
         return cloud
     locs = cloud.locs()
     axes, voted = _vote_all(locs, _hop_reach(locs, params), params.rel_bins)
     unassigned = len(cloud) - int(voted.sum())
     if unassigned:
         log.warning("%d of %d nodes have empty neighborhoods and no direction", unassigned, len(cloud))
-    dirs = [axis if ok else None for axis, ok in zip(axes, voted.tolist())]
-    return unchecked_cloud(locs, cloud.intensities(), dirs, cloud.image)
+    dirs = np.where(voted[:, None], axes, np.nan)
+    return PointCloud.from_arrays(locs, cloud.intensities(), dirs, cloud.image)

@@ -41,7 +41,7 @@ import numpy as np
 
 from .direction import VotingParams, assign_all_directions
 from .errors import InputError
-from .geometry import LineFit, PointCloud, fit_line, unchecked_cloud
+from .geometry import LineFit, PointCloud, fit_line
 from .graph import GraphParams, SparseGraph, build_adjacency, intensity_threshold, segment_min_intensity
 from .spectral import component_arrays, ncut_bipartition
 
@@ -183,10 +183,8 @@ def lcuts(cloud: PointCloud, gparams: GraphParams | None = None,
 
     # Work in location-sorted order: ties and rounding then resolve the same
     # way no matter how the caller happened to label the nodes.
-    # The permuted copy of a valid cloud is valid, so it is not checked again.
     order = np.lexsort(cloud.locs().T[::-1])
-    intensities = cloud.intensities()
-    work = unchecked_cloud(cloud.locs()[order], [intensities[i] for i in order], image=cloud.image)
+    work = PointCloud.from_arrays(cloud.locs()[order], cloud.intensities()[order], image=cloud.image)
 
     work = assign_all_directions(work, vparams)
     # The intensity factor of the adjacency is active whenever an image is

@@ -27,3 +27,14 @@ class OutOfBoundsError(LcutsError):
 
 class SynthesisError(LcutsError):
     """Rejection sampling could not satisfy the layout constraints."""
+
+
+class NodeError(InputError):
+    """A node of a cloud fails a check: ``node`` is its index, ``reason``
+    what is wrong, and ``first`` the earlier node it repeats, when its
+    location is a duplicate."""
+
+    def __init__(self, node: int, reason: str, first: int | None = None) -> None:
+        self.node, self.reason, self.first = node, reason, first
+        tail = "" if first is None else f" (first at node {first})"
+        super().__init__(f"node {node}: {reason}{tail}")

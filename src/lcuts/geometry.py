@@ -1,9 +1,17 @@
-"""Spatial primitives: nodes, point clouds, line fits, and cloud CSV IO.
+"""Spatial primitives: point clouds, node records, line fits, and cloud CSV IO.
 
 Locations are in pixel units, 2-D (x, y) or 3-D (x, y, z), with the raster
-convention that y grows downward. A total-least-squares line fit summarizes a
-group of points by its principal axis; the orthogonal residual spread and the
-projection span onto that axis drive the clustering stop rules.
+convention that y grows downward. A ``PointCloud`` is arrays: locations,
+intensities and directions, one row per node, with NaN where a node has no
+intensity or no direction. One vectorized validator checks a cloud's arrays
+whichever way it is built, and also checks a single ``Node`` record; the
+CSV reader maps the node it names to the file line. ``PointCloud.nodes``
+gives the records for callers that want them; the library reads only the
+arrays.
+
+A total-least-squares line fit summarizes a group of points by its
+principal axis; the orthogonal residual spread and the projection span onto
+that axis drive the clustering stop rules.
 
 Coordinates are bounded by ``MAX_COORD`` = 2^53 in magnitude, where float64
 still resolves single pixels; below it no squared distance or second moment
@@ -18,10 +26,11 @@ import csv
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
-from .errors import DegenerateInputError, DimensionMismatchError, InputError
+from .errors import DegenerateInputError, DimensionMismatchError, InputError, NodeError
 from .raster import RasterImage
 
 # Largest accepted coordinate magnitude, in pixels. Beyond 2**53 float64
@@ -38,11 +47,12 @@ _CANDIDATE_BLOCK = 2 ** 18
 
 @dataclass(frozen=True)
 class Node:
-    """One point of a cloud.
+    """One point of a cloud, as a record.
 
     ``intensity`` is the image brightness at the node (absent for plain
     clouds); ``dir`` is the locally estimated unit axis (absent until
-    direction assignment runs, or when the node has no neighbors).
+    direction assignment runs, or when the node has no neighbors). A node
+    is checked by the same validator as a cloud, on one row.
     """
 
     id: int
@@ -54,96 +64,159 @@ class Node:
         loc = np.asarray(self.loc, dtype=np.float64)
         if loc.ndim != 1 or loc.shape[0] not in (2, 3):
             raise DimensionMismatchError(f"node {self.id}: loc must be a 2- or 3-vector")
-        if not np.all(np.isfinite(loc)):
-            raise InputError(f"node {self.id}: non-finite location")
-        if np.abs(loc).max() > MAX_COORD:
-            raise InputError(f"node {self.id}: location {tuple(loc.tolist())} has a "
-                             "coordinate beyond +-2**53")
+        axis = np.full_like(loc, np.nan) if self.dir is None else np.asarray(self.dir, dtype=np.float64)
+        if axis.shape != loc.shape:
+            raise DimensionMismatchError(f"node {self.id}: dir/loc dimension mismatch")
+        given = self.intensity is not None
+        intensity = np.array([float(self.intensity) if given else np.nan])
+        try:
+            _check_nodes(loc[None], intensity, np.array([given]), axis[None], None)
+        except NodeError as exc:
+            raise NodeError(self.id, exc.reason) from None
         object.__setattr__(self, "loc", loc)
-        if self.intensity is not None:
-            val = float(self.intensity)
-            if not 0.0 <= val <= 1.0:
-                raise InputError(f"node {self.id}: intensity {val} outside [0, 1]")
-            object.__setattr__(self, "intensity", val)
-        if self.dir is not None:
-            d = np.asarray(self.dir, dtype=np.float64)
-            if d.shape != loc.shape:
-                raise DimensionMismatchError(f"node {self.id}: dir/loc dimension mismatch")
-            if abs(float(np.linalg.norm(d)) - 1.0) > 1e-9:
-                raise InputError(f"node {self.id}: dir is not unit length")
-            object.__setattr__(self, "dir", d)
+        object.__setattr__(self, "intensity", float(intensity[0]) if given else None)
+        object.__setattr__(self, "dir", None if np.isnan(axis).all() else axis)
 
 
-@dataclass
+def _first(mask: np.ndarray) -> int | None:
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
+
+def duplicates(locs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``locs`` that equal an earlier row, and for each the row
+    just before it among its equals. Rows compare by float ``==``, so -0.0
+    equals 0.0. A stable sort puts equal rows next to each other in index
+    order."""
+    order = np.lexsort(locs.T[::-1])
+    same = (locs[order[1:]] == locs[order[:-1]]).all(axis=1)
+    return order[1:][same], order[:-1][same]
+
+
+def _check_nodes(locs: np.ndarray, intensities: np.ndarray, given: np.ndarray,
+                 dirs: np.ndarray, image: RasterImage | None) -> None:
+    """The checks of a cloud, on its whole arrays.
+
+    Raises NodeError for the first node that fails the first failing check,
+    in this order: a non-finite location; a coordinate beyond ``MAX_COORD``;
+    an intensity outside [0, 1], NaN included, where ``given`` marks one; a
+    direction row neither all NaN nor of unit length; a location outside
+    the bound image; a location equal to an earlier node's.
+    """
+    h, w = (0, 0) if image is None else image.pixels.shape
+    x, y = locs[:, 0], locs[:, 1]
+    unit = np.abs(np.linalg.norm(dirs, axis=1) - 1.0) <= 1e-9
+    faults = [(~np.isfinite(locs).all(axis=1), "non-finite location"),
+              ((np.abs(locs) > MAX_COORD).any(axis=1), "location {loc} has a coordinate beyond +-2**53"),
+              (given & ~((intensities >= 0.0) & (intensities <= 1.0)), "intensity {value} outside [0, 1]"),
+              (~unit & ~np.isnan(dirs).all(axis=1), "dir is not unit length"),
+              ((image is not None) & ((x < 0.0) | (x > w - 1) | (y < 0.0) | (y > h - 1)),
+               "location {loc} lies outside the {w} x {h} image")]
+    for mask, reason in faults:
+        k = _first(mask)
+        if k is not None:
+            raise NodeError(k, reason.format(loc=tuple(locs[k].tolist()), value=float(intensities[k]), w=w, h=h))
+    later, earlier = duplicates(locs)
+    if later.size:
+        j = int(later.argmin())
+        k = int(later[j])
+        raise NodeError(k, f"duplicate node location {tuple(locs[k].tolist())}", first=int(earlier[j]))
+
+
 class PointCloud:
-    """An ordered set of nodes with ids 0..N-1 and a common dimension.
+    """N nodes with ids 0..N-1 and a common dimension, held as arrays.
 
-    ``image`` optionally binds the raster the nodes were extracted from; it is
+    ``locs()`` is (N, dim), ``intensities()`` (N,) with NaN where a node has
+    no intensity, and ``dirs()`` (N, dim) with a NaN row where a node has no
+    direction; all are float64 and read-only. ``image`` optionally binds the
+    raster the nodes were extracted from, which must cover every node; it is
     required for any intensity-based weighting or stop checks.
+
+    ``PointCloud(nodes, dim, image)`` builds a cloud from ``Node`` records
+    and ``PointCloud.from_arrays`` from arrays; both run one validator.
     """
 
-    nodes: list[Node]
-    dim: int
-    image: RasterImage | None = None
+    def __init__(self, nodes: Iterable[Node], dim: int, image: RasterImage | None = None) -> None:
+        if dim not in (2, 3):
+            raise DimensionMismatchError(f"dim must be 2 or 3, got {dim}")
+        nodes = list(nodes)
+        ids = np.array([node.id for node in nodes], dtype=np.int64)
+        k = _first(ids != np.arange(len(nodes)))
+        if k is not None:
+            raise InputError(f"node ids must be 0..N-1 in order (index {k} has id {ids[k]})")
+        sizes = np.array([node.loc.shape[0] for node in nodes], dtype=np.int64)
+        k = _first(sizes != dim)
+        if k is not None:
+            raise DimensionMismatchError(f"node {k} has dimension {sizes[k]}, cloud is {dim}-D")
+        absent = np.full(dim, np.nan)
+        self._bind(np.array([node.loc for node in nodes]).reshape(-1, dim),
+                   [np.nan if node.intensity is None else node.intensity for node in nodes],
+                   np.array([absent if node.dir is None else node.dir for node in nodes]).reshape(-1, dim),
+                   image)
 
-    def __post_init__(self) -> None:
-        if self.dim not in (2, 3):
-            raise DimensionMismatchError(f"dim must be 2 or 3, got {self.dim}")
-        seen: set[tuple[float, ...]] = set()
-        for idx, node in enumerate(self.nodes):
-            if node.id != idx:
-                raise InputError(f"node ids must be 0..N-1 in order (index {idx} has id {node.id})")
-            if node.loc.shape[0] != self.dim:
-                raise DimensionMismatchError(f"node {idx} has dimension {node.loc.shape[0]}, cloud is {self.dim}-D")
-            key = tuple(node.loc.tolist())
-            if key in seen:
-                raise InputError(f"duplicate node location {key}")
-            seen.add(key)
-        if self.image is not None and self.dim != 2:
+    @classmethod
+    def from_arrays(cls, locs, intensities=None, dirs=None,
+                    image: RasterImage | None = None) -> "PointCloud":
+        """A cloud holding copies of the given arrays: ``locs`` (N, 2) or
+        (N, 3); ``intensities`` (N,), NaN where a node has none; ``dirs``
+        (N, dim), a NaN row where a node has none. Left out, no node has
+        an intensity or a direction."""
+        cloud = cls.__new__(cls)
+        cloud._bind(locs, intensities, dirs, image)
+        return cloud
+
+    def _bind(self, locs, intensities, dirs, image: RasterImage | None,
+              given: np.ndarray | None = None) -> None:
+        """Check and store the arrays. ``given`` marks the nodes that have an
+        intensity; by default those whose intensity is not NaN."""
+        locs = np.array(locs, dtype=np.float64)
+        if locs.ndim != 2 or locs.shape[1] not in (2, 3):
+            raise DimensionMismatchError("locs must be an (N, 2) or (N, 3) array")
+        n, dim = locs.shape
+        intensities = np.full(n, np.nan) if intensities is None else np.array(intensities, dtype=np.float64)
+        dirs = np.full((n, dim), np.nan) if dirs is None else np.array(dirs, dtype=np.float64)
+        if intensities.shape != (n,) or dirs.shape != (n, dim):
+            raise DimensionMismatchError(f"intensities must be ({n},) and dirs ({n}, {dim})")
+        if image is not None and dim != 2:
             raise DimensionMismatchError("only 2-D clouds can bind an image")
-        self._locs = np.stack([n.loc for n in self.nodes]) if self.nodes else np.zeros((0, self.dim))
-        self._locs.flags.writeable = False
+        _check_nodes(locs, intensities, ~np.isnan(intensities) if given is None else given,
+                     dirs, image)
+        for arr in (locs, intensities, dirs):
+            arr.flags.writeable = False
+        self._locs, self._intensities, self._dirs = locs, intensities, dirs
+        self.dim, self.image = dim, image
+        self._nodes: tuple[Node, ...] | None = None
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self._locs)
 
     def locs(self) -> np.ndarray:
-        """All locations as a read-only (N, dim) array, stacked once at construction."""
+        """All locations as a read-only (N, dim) array."""
         return self._locs
 
-    def intensities(self) -> list[float | None]:
-        return [n.intensity for n in self.nodes]
+    def intensities(self) -> np.ndarray:
+        """All intensities as a read-only (N,) array, NaN where a node has none."""
+        return self._intensities
+
+    def dirs(self) -> np.ndarray:
+        """All unit axes as a read-only (N, dim) array, a NaN row where a node has none."""
+        return self._dirs
+
+    @property
+    def nodes(self) -> list[Node]:
+        """The nodes as ``Node`` records, in a new list on each access. The
+        records are built on the first access; no library code reads them."""
+        if self._nodes is None:
+            self._nodes = tuple(
+                Node(k, loc, None if np.isnan(v) else v, None if np.isnan(axis[0]) else axis)
+                for k, (loc, v, axis) in enumerate(zip(self._locs, self._intensities.tolist(), self._dirs)))
+        return list(self._nodes)
 
     def has_all_intensities(self) -> bool:
-        return bool(self.nodes) and all(n.intensity is not None for n in self.nodes)
+        return bool(len(self)) and not np.isnan(self._intensities).any()
 
     def with_image(self, image: RasterImage | None) -> "PointCloud":
-        return PointCloud(self.nodes, self.dim, image)
-
-
-def unchecked_cloud(locs: np.ndarray, intensities: list[float | None],
-                    dirs: list[np.ndarray | None] | None = None,
-                    image: RasterImage | None = None) -> PointCloud:
-    """A cloud built from parts that are valid by construction, skipping the
-    per-node checks that ``Node`` and ``PointCloud`` run.
-
-    ``locs`` is a finite float64 (N, 2) or (N, 3) array of distinct rows,
-    ``intensities`` holds N floats in [0, 1] or None, ``dirs`` holds N unit
-    axes or None (default: all None), and ``image`` is bound only to a 2-D
-    cloud. Node ``k`` gets id ``k`` and row ``k`` of ``locs`` as its location.
-    """
-    locs = locs.view()
-    locs.flags.writeable = False
-    if dirs is None:
-        dirs = [None] * len(locs)
-    nodes = []
-    for k, (loc, intensity, axis) in enumerate(zip(locs, intensities, dirs)):
-        node = object.__new__(Node)
-        node.__dict__.update(id=k, loc=loc, intensity=intensity, dir=axis)
-        nodes.append(node)
-    cloud = object.__new__(PointCloud)
-    cloud.nodes, cloud.dim, cloud.image, cloud._locs = nodes, locs.shape[1], image, locs
-    return cloud
+        return PointCloud.from_arrays(self._locs, self._intensities, self._dirs, image)
 
 
 @dataclass(frozen=True)
@@ -291,6 +364,8 @@ def read_cloud_csv(path: str | Path) -> tuple[PointCloud, list[set[int]] | None]
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
     except OSError as exc:
         raise InputError(f"{path}: {exc}") from exc
     if not rows:
@@ -310,7 +385,8 @@ def read_cloud_csv(path: str | Path) -> tuple[PointCloud, list[set[int]] | None]
         raise InputError(f"{path}: unexpected cloud columns {rest[1:]}")
 
     rows_locs: list[list[float]] = []
-    intensities: list[float | None] = []
+    intensities: list[float] = []
+    given: list[bool] = []
     labels: list[int] = []
     lines: list[int] = []
     ncols = dim + 1 + (1 if has_group else 0)
@@ -322,41 +398,24 @@ def read_cloud_csv(path: str | Path) -> tuple[PointCloud, list[set[int]] | None]
         try:
             loc = [float(c) for c in row[:dim]]
             cell = row[dim].strip()
-            inten = float(cell) if cell else None
+            inten = float(cell) if cell else np.nan
             if has_group:
                 labels.append(int(row[dim + 1]))
         except ValueError as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from exc
         rows_locs.append(loc)
         intensities.append(inten)
+        # An empty cell is no intensity; the text "nan" is an invalid one.
+        given.append(bool(cell))
         lines.append(lineno)
 
-    # The checks of Node and PointCloud, run once on the whole array.
-    locs = np.array(rows_locs, dtype=np.float64).reshape(-1, dim)
-    bad = np.flatnonzero(~np.isfinite(locs).all(axis=1))
-    if bad.size:
-        k = int(bad[0])
-        raise InputError(f"{path}:{lines[k]}: node {k}: non-finite location")
-    bad = np.flatnonzero((np.abs(locs) > MAX_COORD).any(axis=1))
-    if bad.size:
-        k = int(bad[0])
-        raise InputError(f"{path}:{lines[k]}: node {k}: location {tuple(locs[k].tolist())} "
-                         "has a coordinate beyond +-2**53")
-    bad = [k for k, v in enumerate(intensities) if v is not None and not 0.0 <= v <= 1.0]
-    if bad:
-        k = bad[0]
-        raise InputError(f"{path}:{lines[k]}: node {k}: intensity {intensities[k]} outside [0, 1]")
-    # A stable sort puts equal locations next to each other in file order;
-    # the first node that repeats an earlier location is reported.
-    order = np.lexsort(locs.T[::-1])
-    same = (locs[order[1:]] == locs[order[:-1]]).all(axis=1)
-    if same.any():
-        later, earlier = order[1:][same], order[:-1][same]
-        j = int(later.argmin())
-        k, first = int(later[j]), int(earlier[j])
-        raise InputError(f"{path}:{lines[k]}: node {k}: duplicate node location "
-                         f"{tuple(locs[k].tolist())} (first at line {lines[first]})")
-    cloud = unchecked_cloud(locs, intensities)
+    cloud = PointCloud.__new__(PointCloud)
+    try:
+        cloud._bind(np.array(rows_locs, dtype=np.float64).reshape(-1, dim), intensities, None, None,
+                    given=np.array(given, dtype=bool))
+    except NodeError as exc:
+        first = "" if exc.first is None else f" (first at line {lines[exc.first]})"
+        raise InputError(f"{path}:{lines[exc.node]}: node {exc.node}: {exc.reason}{first}") from None
     groups = None
     if has_group:
         members: dict[int, set[int]] = {}
@@ -373,17 +432,17 @@ def write_cloud_csv(path: str | Path, cloud: PointCloud, groups: list[set[int]] 
         for lab, members in enumerate(groups):
             for nid in members:
                 label_of[nid] = lab
-        missing = [n.id for n in cloud.nodes if n.id not in label_of]
+        missing = [k for k in range(len(cloud)) if k not in label_of]
         if missing:
             raise InputError(f"groups do not cover nodes {missing[:5]}")
     header = ["x", "y"] + (["z"] if cloud.dim == 3 else []) + ["intensity"]
     if groups is not None:
         header.append("group")
     lines = [",".join(header)]
-    for node in cloud.nodes:
-        cells = [repr(float(v)) for v in node.loc]
-        cells.append("" if node.intensity is None else repr(float(node.intensity)))
+    for k, (loc, intensity) in enumerate(zip(cloud.locs().tolist(), cloud.intensities().tolist())):
+        cells = [repr(v) for v in loc]
+        cells.append("" if np.isnan(intensity) else repr(intensity))
         if groups is not None:
-            cells.append(str(label_of[node.id]))
+            cells.append(str(label_of[k]))
         lines.append(",".join(cells))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

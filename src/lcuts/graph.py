@@ -131,17 +131,16 @@ def _canonical(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> 
     # gives the (row, column) order.
     order = np.argsort(rows.astype(np.int64) * n + cols)
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-    graph = object.__new__(SparseGraph)
+    graph = SparseGraph.__new__(SparseGraph)
     graph.csr = sparse.csr_array((vals[order], cols[order], indptr), shape=(n, n))
     return graph
 
 
 def intensity_threshold(cloud: PointCloud) -> float:
     """Midrange minus population variance of the node intensities."""
-    vals = [n.intensity for n in cloud.nodes]
-    if not vals or any(v is None for v in vals):
+    if not cloud.has_all_intensities():
         raise MissingDataError("intensity threshold needs an intensity on every node")
-    arr = np.asarray(vals, dtype=np.float64)
+    arr = cloud.intensities()
     mid = (float(arr.max()) + float(arr.min())) / 2.0
     return mid - float(arr.var())
 
@@ -183,12 +182,9 @@ def build_adjacency(cloud: PointCloud, params: GraphParams,
     ii, jj, dist = ii[near], jj[near], dist[near]
     wd = np.exp(-(dist ** 2) / params.sigma_d ** 2)
 
-    dirs = np.zeros((n, cloud.dim))
-    present = np.zeros(n, dtype=bool)
-    for node in cloud.nodes:
-        if node.dir is not None:
-            dirs[node.id] = node.dir
-            present[node.id] = True
+    # A node without a direction has a NaN row, read here as zeros.
+    present = ~np.isnan(cloud.dirs()[:, 0])
+    dirs = np.nan_to_num(cloud.dirs())
     # Coordinate-ordered accumulation from 0.0, as in the scalar oracle of
     # tests/oracles.py.
     dots = np.zeros(ii.size)

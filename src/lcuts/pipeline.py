@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .geometry import Node, PointCloud, radius_pairs
+from .geometry import PointCloud, radius_pairs
 from .raster import RasterImage, bilinear_sample
 
 # scipy.ndimage is imported inside gaussian_filter, _open_disk and
@@ -194,7 +194,7 @@ def prune_nodes(points: list[np.ndarray], img: RasterImage, params: PipelinePara
     """Deduplicate close detections (brighter wins), drop isolated ones, and
     attach image intensities. The result is a cloud bound to ``img``."""
     if not points:
-        return PointCloud([], 2, image=img)
+        return PointCloud.from_arrays(np.zeros((0, 2)), image=img)
     pts = np.asarray(points, dtype=np.float64)
     vals = bilinear_sample(img, pts[:, 0], pts[:, 1])
     # Brightest first; ties resolved by raster order for determinism.
@@ -222,11 +222,7 @@ def prune_nodes(points: list[np.ndarray], img: RasterImage, params: PipelinePara
     survivors = survivors[~lonely]
     sval = sval[~lonely]
     order = np.lexsort((survivors[:, 0], survivors[:, 1]))
-    nodes = [
-        Node(id=i, loc=survivors[k], intensity=float(np.clip(sval[k], 0.0, 1.0)))
-        for i, k in enumerate(order.tolist())
-    ]
-    return PointCloud(nodes, 2, image=img)
+    return PointCloud.from_arrays(survivors[order], np.clip(sval[order], 0.0, 1.0), image=img)
 
 
 def extract_nodes(img: RasterImage, params: PipelineParams) -> PointCloud:

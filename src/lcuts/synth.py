@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, SynthesisError
-from .geometry import Node, PointCloud
+from .geometry import PointCloud, duplicates
 from .raster import RasterImage, bilinear_sample
 
 _MARGIN = 20.0          # keep rods away from the canvas border
@@ -265,13 +265,27 @@ def _ortho_frame(axis: np.ndarray) -> np.ndarray:
     return np.stack([e1, e2])
 
 
+def _first_copies(samples: list[np.ndarray], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The samples of all rods in order, each location kept at its first
+    occurrence only, and the rod of each."""
+    locs = np.concatenate(samples) if samples else np.zeros((0, dim))
+    rod = np.repeat(np.arange(len(samples)), [len(s) for s in samples])
+    keep = np.ones(len(locs), dtype=bool)
+    keep[duplicates(locs)[0]] = False
+    return locs[keep], rod[keep]
+
+
+def _members(rod: np.ndarray, n_rods: int) -> list[set[int]]:
+    """Node ids by rod, one set per rod, for nodes listed in rod order."""
+    ends = np.searchsorted(rod, np.arange(n_rods + 1))
+    return [set(range(lo, hi)) for lo, hi in zip(ends[:-1].tolist(), ends[1:].tolist())]
+
+
 def generate_cloud(spec: SynthSpec) -> tuple[PointCloud, list[set[int]]]:
     """Noisy rod cloud plus ground-truth groups (one id set per rod)."""
     rng = np.random.default_rng(spec.seed)
     rods, _ = _place_rods(spec, rng)
-    nodes: list[Node] = []
-    groups: list[set[int]] = []
-    seen: set[tuple[float, ...]] = set()
+    samples: list[np.ndarray] = []
     for p0, p1 in rods:
         base = _rod_samples(p0, p1, spec.spacing_along_rod)
         axis = _unit(p1 - p0)
@@ -283,16 +297,10 @@ def generate_cloud(spec: SynthSpec) -> tuple[PointCloud, list[set[int]]]:
             frame = _ortho_frame(axis)
             offs = rng.normal(0.0, spec.ortho_noise_std, (len(base), 2))
             pts = base + offs @ frame
-        members: set[int] = set()
-        for p in pts:
-            key = tuple(p.tolist())
-            if key in seen:
-                continue  # overlapping crossings can coincide with zero noise
-            seen.add(key)
-            members.add(len(nodes))
-            nodes.append(Node(id=len(nodes), loc=p))
-        groups.append(members)
-    return PointCloud(nodes, spec.dim), groups
+        samples.append(pts)
+    # Overlapping crossings can coincide with zero noise.
+    locs, rod = _first_copies(samples, spec.dim)
+    return PointCloud.from_arrays(locs), _members(rod, len(rods))
 
 
 def generate_image(spec: SynthSpec) -> tuple[RasterImage, PointCloud, list[set[int]]]:
@@ -348,23 +356,9 @@ def generate_image(spec: SynthSpec) -> tuple[RasterImage, PointCloud, list[set[i
             img[y0:y1, x0:x1] *= 1.0 - spec.intensity_valley * np.exp(-r2 / (2.0 * _VALLEY_SIGMA ** 2))
     raster = RasterImage(np.clip(img, 0.0, 1.0))
 
-    nodes: list[Node] = []
-    groups: list[set[int]] = []
-    seen: set[tuple[float, ...]] = set()
-    floor = _DETECTABLE_FRAC * raster.pixels.max()
-    for samples in all_samples:
-        members: set[int] = set()
-        for p in samples:
-            key = tuple(p.tolist())
-            if key in seen:
-                continue
-            seen.add(key)
-            val = float(bilinear_sample(raster, p[0], p[1]))
-            if val < floor:
-                # a maxima detector would not fire this deep in a valley
-                continue
-            members.add(len(nodes))
-            nodes.append(Node(id=len(nodes), loc=p, intensity=float(np.clip(val, 0.0, 1.0))))
-        if members:
-            groups.append(members)
-    return raster, PointCloud(nodes, 2, image=raster), groups
+    locs, rod = _first_copies(all_samples, 2)
+    vals = bilinear_sample(raster, locs[:, 0], locs[:, 1])
+    # A maxima detector would not fire this deep in a valley.
+    bright = vals >= _DETECTABLE_FRAC * raster.pixels.max()
+    groups = [g for g in _members(rod[bright], len(rods)) if g]
+    return raster, PointCloud.from_arrays(locs[bright], np.clip(vals[bright], 0.0, 1.0), image=raster), groups

@@ -279,6 +279,86 @@ def test_cluster_image_samples_missing_intensities(tmp_path):
     assert all(set(n) == {"id", "loc", "intensity"} for n in nodes)
 
 
+@pytest.mark.parametrize("last, cells", [((25.0, 0.0), "0.5"), ((500.0, 500.0), "0.5"),
+                                         ((25.0, 0.0), "")],
+                         ids=["near-with-intensities", "isolated-with-intensities",
+                              "near-without-intensities"])
+def test_cluster_refuses_nodes_outside_the_image(tmp_path, capsys, last, cells):
+    # The image must cover every node, whether a segment to it would be
+    # sampled, it has no neighbour at all, or its own intensity is missing.
+    write_pgm(tmp_path / "img.pgm", RasterImage(np.full((20, 20), 0.5)))
+    rows = [(0.0, 0.0), (3.0, 0.0), (6.0, 0.0), last]
+    cloud = tmp_path / "c.csv"
+    cloud.write_text("x,y,intensity\n" + "".join(f"{x!r},{y!r},{cells}\n" for x, y in rows))
+    out = tmp_path / "out.json"
+    assert cli.main(["--quiet", "cluster", str(cloud), str(out), "--image", str(tmp_path / "img.pgm")]) == 2
+    assert capsys.readouterr().err == f"error: node 3: location {last} lies outside the 20 x 20 image\n"
+    assert not out.exists()
+
+
+# A command that meets a path it cannot read or write, and that path; {d}
+# is the test's folder, where folder.pgm and folder.csv are directories and
+# the latin1 files hold a byte that is not UTF-8.
+UNREADABLE = {
+    "image-is-a-directory": (["cluster", "{d}/cloud.csv", "{d}/out.json", "--image", "{d}/folder.pgm"],
+                             "{d}/folder.pgm"),
+    "cluster-output-is-a-directory": (["cluster", "{d}/cloud.csv", "{d}/folder.pgm"], "{d}/folder.pgm"),
+    "synth-output-is-a-directory": (["synth", "{d}/spec.cfg", "{d}/folder"], "{d}/folder.csv"),
+    "cloud-not-utf8": (["cluster", "{d}/latin1.csv", "{d}/out.json"], "{d}/latin1.csv"),
+    "config-not-utf8": (["--config", "{d}/latin1.cfg", "cluster", "{d}/cloud.csv", "{d}/out.json"],
+                        "{d}/latin1.cfg"),
+    "spec-not-utf8": (["synth", "{d}/latin1.cfg", "{d}/run"], "{d}/latin1.cfg"),
+    "cluster-json-not-utf8": (["render", "{d}/latin1.json", "{d}/out.svg"], "{d}/latin1.json"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNREADABLE))
+def test_unreadable_paths_exit_2_naming_the_path(tmp_path, case):
+    (tmp_path / "cloud.csv").write_text("x,y,intensity\n0.0,0.0,0.5\n3.0,0.0,0.5\n6.0,0.0,0.5\n")
+    write_spec(tmp_path / "spec.cfg", dim=2, nRods=1, seed=0)
+    (tmp_path / "folder.pgm").mkdir()
+    (tmp_path / "folder.csv").mkdir()
+    for suffix in (".csv", ".cfg", ".json"):
+        (tmp_path / "latin1").with_suffix(suffix).write_bytes(b"caf\xe9 = 1\n")
+    argv, path = UNREADABLE[case]
+    res = run_cli(*(arg.format(d=tmp_path) for arg in argv))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ") and path.format(d=tmp_path) in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_commands_build_no_node_records(tmp_path, monkeypatch):
+    # Every command runs on arrays: no Node record is made on the way.
+    from lcuts.geometry import Node
+
+    made = []
+    check = Node.__post_init__
+
+    def counted(node):
+        made.append(node.id)
+        check(node)
+
+    monkeypatch.setattr(Node, "__post_init__", counted)
+    spec = tmp_path / "spec.cfg"
+    write_spec(spec, dim=2, nRods=4, seed=3, crossings=1, intensityValley=0.7)
+    write_spec(tmp_path / "vol.cfg", dim=3, nRods=3, seed=1)
+
+    def run(*argv):
+        assert cli.main(["--quiet", *map(str, argv)]) == 0, argv
+
+    run("synth", spec, tmp_path / "run")
+    run("synth", tmp_path / "vol.cfg", tmp_path / "vol")
+    run("extract", tmp_path / "run.pgm", tmp_path / "found.csv")
+    run("cluster", tmp_path / "found.csv", tmp_path / "found.json", "--image", tmp_path / "run.pgm")
+    for name in ("run", "vol"):
+        run("cluster", tmp_path / f"{name}.csv", tmp_path / f"{name}.json")
+        run("evaluate", tmp_path / f"{name}.json", tmp_path / f"{name}.csv", tmp_path / "m.json")
+        run("render", tmp_path / f"{name}.json", tmp_path / "view.svg")
+    assert made == []
+    Node(7, np.zeros(2))
+    assert made == [7]
+
+
 def test_evaluate_requires_truth_groups(tmp_path):
     img = tmp_path / "plain.csv"
     img.write_text("x,y,intensity\n0.0,0.0,0.5\n4.0,0.0,0.5\n")

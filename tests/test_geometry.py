@@ -4,6 +4,7 @@ import pytest
 from lcuts import geometry
 from lcuts.errors import DegenerateInputError, DimensionMismatchError, InputError
 from lcuts.geometry import MAX_COORD, Node, PointCloud, fit_line, radius_pairs
+from lcuts.raster import RasterImage
 from oracles import pairwise_distance
 from oracles import radius_pairs as tree_radius_pairs
 from test_acceptance import fuzz_cloud
@@ -161,6 +162,65 @@ def test_cloud_validation():
                     Node(id=1, loc=np.array([2.0, 2.0]))], 2)  # duplicate location
     with pytest.raises(DimensionMismatchError):
         PointCloud(nodes, 3)
+
+
+def test_cloud_from_arrays():
+    locs = np.array([[0.0, 0.0], [3.0, 4.0], [5.0, 1.0]])
+    intensities = np.array([0.5, np.nan, 1.0])
+    cloud = PointCloud.from_arrays(locs, intensities)
+    # Copies, read-only, and NaN where a node has no intensity or direction.
+    locs[0, 0] = intensities[0] = 9.0
+    assert cloud.locs().tolist() == [[0.0, 0.0], [3.0, 4.0], [5.0, 1.0]]
+    assert all(not a.flags.writeable for a in (cloud.locs(), cloud.intensities(), cloud.dirs()))
+    assert cloud.intensities()[0] == 0.5 and np.isnan(cloud.intensities()[1])
+    assert cloud.dirs().shape == (3, 2) and np.isnan(cloud.dirs()).all()
+    assert not cloud.has_all_intensities()
+    assert [n.intensity for n in cloud.nodes] == [0.5, None, 1.0]
+    assert all(n.dir is None for n in cloud.nodes)
+    assert PointCloud.from_arrays(np.zeros((0, 3))).dim == 3
+    with pytest.raises(DimensionMismatchError):
+        PointCloud.from_arrays(np.zeros((2, 4)))
+    with pytest.raises(DimensionMismatchError):
+        PointCloud.from_arrays(np.zeros((2, 2)), intensities=[0.5])
+    with pytest.raises(DimensionMismatchError):
+        PointCloud.from_arrays([[0.0, 0.0, 0.0]], image=RasterImage(np.zeros((4, 4))))
+    dirs = np.array([[1.0, 0.0], [np.nan, np.nan], [0.6, 0.8]])
+    assert PointCloud.from_arrays(cloud.locs(), dirs=dirs).nodes[1].dir is None
+    for bad in ([1.0, 1.0], [np.nan, 1.0], [np.inf, 0.0]):
+        dirs[1] = bad
+        with pytest.raises(InputError, match=r"^node 1: dir is not unit length$"):
+            PointCloud.from_arrays(cloud.locs(), dirs=dirs)
+
+
+def test_bound_image_covers_every_node():
+    # x in [0, width - 1] and y in [0, height - 1], where bilinear sampling works.
+    img = RasterImage(np.zeros((20, 30)))
+    inside = np.array([[0.0, 0.0], [29.0, 19.0], [-0.0, 7.5]])
+    assert PointCloud.from_arrays(inside, image=img).image is img
+    for loc in ([29.5, 0.0], [0.0, 19.25], [-1e-9, 3.0], [3.0, -2.0]):
+        with pytest.raises(InputError) as err:
+            PointCloud.from_arrays(np.vstack([inside, loc]), image=img)
+        assert str(err.value) == f"node 3: location {tuple(loc)} lies outside the 30 x 20 image"
+        with pytest.raises(InputError):
+            PointCloud.from_arrays(np.vstack([inside, loc])).with_image(img)
+
+
+def test_cloud_from_its_nodes_gives_back_its_arrays():
+    # Locations, intensities and directions, NaNs included, survive a trip
+    # through Node records bit for bit.
+    from lcuts.direction import VotingParams, assign_all_directions
+
+    locs = np.array([[1.0, 1.0], [1.5, 1.0 / 3.0], [2.0, 5.0], [30.0, 30.0], [2.5, 1.0 / 7.0]])
+    intensities = np.array([0.25, np.nan, 1.0 / 3.0, 0.0, np.nan])
+    img = RasterImage(np.full((40, 40), 0.5))
+    cloud = assign_all_directions(PointCloud.from_arrays(locs, intensities, image=img),
+                                  VotingParams(hop_radius=6.0))
+    undirected = np.isnan(cloud.dirs()).all(axis=1)
+    assert undirected.any() and not undirected.all()
+    back = PointCloud(cloud.nodes, cloud.dim, cloud.image)
+    for name in ("locs", "intensities", "dirs"):
+        assert getattr(back, name)().tobytes() == getattr(cloud, name)().tobytes()
+    assert back.image is img
 
 
 # ----------------------------------------------------------------------------

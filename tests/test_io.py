@@ -127,6 +127,21 @@ def test_cloud_csv_group_label_order(tmp_path):
                           for lab in sorted(set(labels))]
 
 
+# A third row, node 2, that no cloud accepts after GOOD_ROWS: the row, the
+# reason, and the node whose location it repeats.
+GOOD_ROWS = "x,y,intensity\n0.0,0.0,0.5\n1.0,0.0,0.5\n"
+INVALID_ROWS = [("nan,0.0,0.5", "non-finite location", None),
+                ("2.0,inf,0.5", "non-finite location", None),
+                ("-inf,1.0,", "non-finite location", None),
+                ("2.0,-9007199254740994.0,", "location (2.0, -9007199254740994.0) has a "
+                                             "coordinate beyond +-2**53", None),
+                ("2.0,0.0,1.5", "intensity 1.5 outside [0, 1]", None),
+                ("2.0,0.0,-0.25", "intensity -0.25 outside [0, 1]", None),
+                ("2.0,0.0,nan", "intensity nan outside [0, 1]", None),
+                ("1.0,0.0,0.25", "duplicate node location (1.0, 0.0)", 1),
+                ("-0.0,0.0,0.5", "duplicate node location (-0.0, 0.0)", 0)]
+
+
 def test_cloud_csv_errors(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,intensity\n0,0,0.5\n")
@@ -146,25 +161,38 @@ def test_cloud_csv_errors(tmp_path):
 
     # Checks on the parsed values: the message names the file, the line and
     # the node (data line 4 holds node 2).
-    good = "x,y,intensity\n0.0,0.0,0.5\n1.0,0.0,0.5\n"
-    for row, what in [("nan,0.0,0.5", "non-finite location"),
-                      ("2.0,inf,0.5", "non-finite location"),
-                      ("-inf,1.0,", "non-finite location"),
-                      ("2.0,-9007199254740994.0,", "location (2.0, -9007199254740994.0) has a "
-                                                   "coordinate beyond +-2**53"),
-                      ("2.0,0.0,1.5", "intensity 1.5 outside [0, 1]"),
-                      ("2.0,0.0,-0.25", "intensity -0.25 outside [0, 1]"),
-                      ("2.0,0.0,nan", "intensity nan outside [0, 1]"),
-                      ("1.0,0.0,0.25", "duplicate node location (1.0, 0.0) (first at line 3)"),
-                      ("-0.0,0.0,0.5", "duplicate node location (-0.0, 0.0) (first at line 2)")]:
-        path.write_text(good + row + "\n")
-        with pytest.raises(InputError, match="duplicate" if "duplicate" in what else None) as err:
+    for row, reason, first in INVALID_ROWS:
+        path.write_text(GOOD_ROWS + row + "\n")
+        with pytest.raises(InputError, match="duplicate" if first is not None else None) as err:
             read_cloud_csv(path)
-        assert str(err.value) == f"{path}:4: node 2: {what}"
+        tail = "" if first is None else f" (first at line {first + 2})"
+        assert str(err.value) == f"{path}:4: node 2: {reason}{tail}"
     path.write_text("x,y,z,intensity\n0,0,0,\n1,2,3,\n5,5,5,\n1,2,3,\n0,0,0,\n")
     with pytest.raises(InputError, match="duplicate") as err:
         read_cloud_csv(path)
     assert str(err.value) == f"{path}:5: node 3: duplicate node location (1.0, 2.0, 3.0) (first at line 3)"
+
+
+@pytest.mark.parametrize("row, reason, first", INVALID_ROWS)
+def test_both_cloud_constructors_give_the_reader_reasons(row, reason, first):
+    # The same validator guards PointCloud(nodes, ...) and from_arrays, and
+    # gives the reader's reasons; a cloud names the node repeated, not a line.
+    x, y, cell = row.split(",")
+    locs = [[0.0, 0.0], [1.0, 0.0], [float(x), float(y)]]
+    intensity = float(cell) if cell else None
+    tail = "" if first is None else f" (first at node {first})"
+    with pytest.raises(InputError) as err:
+        PointCloud([Node(k, np.array(loc), value) for k, (loc, value)
+                    in enumerate(zip(locs, [0.5, 0.5, intensity]))], 2)
+    assert str(err.value) == f"node 2: {reason}{tail}"
+    intensities = [0.5, 0.5, np.nan if intensity is None else intensity]
+    if cell == "nan":
+        # In arrays, NaN is how a node says it has no intensity.
+        assert np.isnan(PointCloud.from_arrays(locs, intensities).intensities()[2])
+        return
+    with pytest.raises(InputError) as err:
+        PointCloud.from_arrays(locs, intensities)
+    assert str(err.value) == f"node 2: {reason}{tail}"
 
 
 def test_write_cloud_csv_requires_cover(tmp_path):

@@ -215,3 +215,24 @@ def test_box_pruned_gap_check_equals_scalar_loop(monkeypatch):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), spec
             else:
                 assert a == b, spec
+
+
+def test_coinciding_samples_keep_the_first(monkeypatch):
+    # Two rods meet at the origin, one sampled there as (-0.0, 0.0) and the
+    # next as (0.0, 0.0). Locations compare by float ==, so the second is a
+    # repeat: the node keeps the first rod's sample, sign bit and all. (The
+    # first rod leans by the smallest subnormal, so its axis has an x of -0.0
+    # and its samples keep the sign.)
+    rods = [(np.array([-0.0, 0.0]), np.array([-5e-324, 20.0])),
+            (np.array([0.0, 0.0]), np.array([20.0, 0.0]))]
+    monkeypatch.setattr(synth, "_place_rods", lambda spec, rng: (rods, []))
+    spec = SynthSpec(n_rods=2, spacing_along_rod=4.0, ortho_noise_std=0.0)
+    cloud, groups = generate_cloud(spec)
+    locs = cloud.locs()
+    assert len(cloud) == 6 + 5 and groups == [set(range(6)), set(range(6, 11))]
+    assert locs[0].tolist() == [0.0, 0.0] and np.signbit(locs[0]).tolist() == [True, False]
+    assert locs[6].tolist() == [4.0, 0.0]
+    _, ridge, ridge_groups = generate_image(spec)
+    assert ridge.locs()[0].tobytes() == locs[0].tobytes()
+    assert sorted(i for g in ridge_groups for i in g) == list(range(len(ridge)))
+    assert not any(np.array_equal(p, [0.0, 0.0]) for p in ridge.locs()[1:])

@@ -270,12 +270,9 @@ def main(argv: list[str] | None = None) -> int:
         format="%(message)s", stream=sys.stderr)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        # A path that cannot be opened, read or written: missing, a
-        # directory, or not permitted.
+    except (InputError, OSError) as exc:
+        # An OSError is a path that cannot be opened, read or written:
+        # missing, a directory, or not permitted.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LcutsError as exc:

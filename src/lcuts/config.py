@@ -49,6 +49,21 @@ def parse_kv(path: str | Path) -> dict[str, str]:
     return out
 
 
+def _read_values(path: str | Path, keys: dict[str, tuple], kind: str) -> dict[str, object]:
+    """The values of a key=value file, by key, each converted by the last
+    item of its entry in ``keys``; an unknown key or a value its converter
+    refuses raises InputError."""
+    out: dict[str, object] = {}
+    for key, value in parse_kv(path).items():
+        if key not in keys:
+            raise InputError(f"{path}: unknown {kind} key {key!r}")
+        try:
+            out[key] = keys[key][-1](value)
+        except (ValueError, InputError) as exc:
+            raise InputError(f"{path}: bad value for {key}: {exc}") from exc
+    return out
+
+
 # key -> (target section, attribute, converter)
 _CONFIG_KEYS: dict[str, tuple[str, str, object]] = {
     "hops": ("voting", "hops", int),
@@ -91,17 +106,11 @@ class Config:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Config":
-        raw = parse_kv(path)
         sections: dict[str, dict[str, object]] = {
             "voting": {}, "graph": {}, "limits": {}, "pipeline": {}, "eval": {}}
-        for key, value in raw.items():
-            if key not in _CONFIG_KEYS:
-                raise InputError(f"{path}: unknown config key {key!r}")
-            section, attr, conv = _CONFIG_KEYS[key]
-            try:
-                sections[section][attr] = conv(value)
-            except (ValueError, InputError) as exc:
-                raise InputError(f"{path}: bad value for {key}: {exc}") from exc
+        for key, value in _read_values(path, _CONFIG_KEYS, "config").items():
+            section, attr, _ = _CONFIG_KEYS[key]
+            sections[section][attr] = value
         try:
             return cls(
                 voting=VotingParams(**sections["voting"]),
@@ -139,16 +148,7 @@ _SYNTH_KEYS: dict[str, tuple[str, object]] = {
 def read_synth_spec(path: str | Path) -> SynthSpec:
     """Parse a generator spec file (same flat format; lengthRange is split
     into lengthMin / lengthMax keys)."""
-    raw = parse_kv(path)
-    fields: dict[str, object] = {}
-    for key, value in raw.items():
-        if key not in _SYNTH_KEYS:
-            raise InputError(f"{path}: unknown synth key {key!r}")
-        attr, conv = _SYNTH_KEYS[key]
-        try:
-            fields[attr] = conv(value)
-        except ValueError as exc:
-            raise InputError(f"{path}: bad value for {key}: {exc}") from exc
+    fields = {_SYNTH_KEYS[key][0]: value for key, value in _read_values(path, _SYNTH_KEYS, "synth").items()}
     defaults = SynthSpec()
     length_range = (
         float(fields.pop("length_min", defaults.length_range[0])),

@@ -9,10 +9,10 @@ Groups that are too long to be a single object are always split first.
 The affinity is zero beyond ``r``, so it is held sparse, as the CSR matrix
 of a ``graph.SparseGraph``, and the graph falls apart into connected
 components. They are found by the numpy labeller of
-``spectral.component_arrays``: once for the cloud, on the CSR entries, and
-once per spectral split (both sides at once, with the cut edges dropped),
-on the dense block that the split already restricted, masked to pairs on
-one side. No N x N array is made. Connectivity counts only edges of weight >=
+``spectral.component_arrays``, which reads edge lists: once for the cloud,
+on every CSR entry, and once per spectral split, on the edges of the split
+group that stay on one side, so both sides at once with the cut edges
+dropped. No N x N array is made. Connectivity counts only edges of weight >=
 ``spectral.WEAK_LINK`` (1e-12): a lighter edge, such as any edge longer than
 52.6 px under the default ``sigmaD = 10``, is below what the dense
 eigensolver resolves, so a block joined only by such edges would get an
@@ -20,10 +20,11 @@ arbitrary Fiedler split. Dead nodes are the singleton components, that is
 nodes with no link >= 1e-12 inside their group. Every union of whole
 components has Ncut 0, so a group of several components that fails its
 stop test splits into all of them in one record (ncut 0.0, one child per
-component, by smallest member); only a connected group is gathered from
-the CSR rows into a dense block, a plain ``ndarray``, for the Fiedler sweep.
-Connectivity is the precondition of ``spectral.ncut_bipartition``, met here
-by construction, so the sweep does not search the block for components.
+component, by smallest member); only a connected group has its edges
+gathered from the CSR rows, once, and scattered into a dense block, a
+plain ``ndarray``, for the Fiedler sweep. Connectivity is the precondition
+of ``spectral.ncut_bipartition``, met here by construction, so the sweep
+does not search the block for components.
 
 The recursion carries each node's ids as a sorted int64 array of working
 (location-sorted) ids and translates the record back to the caller's ids
@@ -42,7 +43,8 @@ import numpy as np
 from .direction import VotingParams, assign_all_directions
 from .errors import InputError
 from .geometry import LineFit, PointCloud, fit_line
-from .graph import GraphParams, SparseGraph, build_adjacency, intensity_threshold, segment_min_intensity
+from .graph import (GraphParams, SparseGraph, build_adjacency, dense_block, intensity_threshold,
+                    segment_min_intensity)
 from .spectral import component_arrays, ncut_bipartition
 
 
@@ -168,8 +170,8 @@ def lcuts(cloud: PointCloud, gparams: GraphParams | None = None,
 
     Directions are estimated once and the sparse affinity matrix is built
     once. Nodes with no link >= ``WEAK_LINK`` inside their group are
-    stripped to outliers before any split; the recursion restricts the
-    matrix to a dense block only for a spectral split. The result carries
+    stripped to outliers before any split; the recursion scatters a group's
+    edges into a dense block only for a spectral split. The result carries
     the sparse matrix in working order, with the permutation back to the
     caller's order.
     """
@@ -200,7 +202,7 @@ def lcuts(cloud: PointCloud, gparams: GraphParams | None = None,
     outliers: list[int] = []
     root = TreeNode(ids=np.arange(len(work)))
     # Each entry carries the connected components of its node's ids.
-    stack = [(root, component_arrays(graph.csr))]
+    stack = [(root, component_arrays(graph.n, *graph.edges()))]
     while stack:
         node, comps = stack.pop()
         ids = node.ids
@@ -234,16 +236,16 @@ def lcuts(cloud: PointCloud, gparams: GraphParams | None = None,
                 node.ncut = 0.0
                 sides = [[c] for c in comps]
             else:
-                sub = graph.restrict(ids)
-                part = ncut_bipartition(sub)
+                rows, cols, vals = graph.edges(ids)
+                part = ncut_bipartition(dense_block(len(ids), rows, cols, vals))
                 node.ncut = part.ncut
                 # One component search for both sides: drop the cut edges,
                 # and each component then lies within one side.
                 half = np.zeros(len(ids), dtype=np.int8)
                 half[list(part.group_b)] = 1
-                same_side = half[:, None] == half[None, :]
+                kept = half[rows] == half[cols]
                 sides = [[], []]
-                for c in component_arrays(np.where(same_side, sub, 0.0)):
+                for c in component_arrays(len(ids), rows[kept], cols[kept], vals[kept]):
                     sides[half[c[0]]].append(ids[c])
         kids = [TreeNode(ids=np.sort(np.concatenate(side))) for side in sides]
         node.children.extend(kids)

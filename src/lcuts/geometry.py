@@ -308,26 +308,58 @@ def radius_pairs(locs: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarra
     For dim <= 3 a cell of side ``reach / 2`` has a diagonal below
     ``reach``, so all points of one cell are true pairs, and the candidates
     are O(N + pairs found), where a dense distance matrix takes O(N^2).
-    Candidates are checked in blocks of ``_CANDIDATE_BLOCK``, so the memory
-    stays O(N + pairs found) even when the 2**20 cap makes the cells coarse.
+    Where the 2**20 cap would make the cells coarser, as far outliers do,
+    the points are first split at every gap wider than ``reach`` along one
+    axis, which no pair crosses, and each part gets a grid of its own, from
+    its own span. Only a part without such a gap, a chain of over 2**19
+    points, is searched on coarse cells; candidates are checked in blocks
+    of ``_CANDIDATE_BLOCK``, so the memory stays O(N + pairs found) even then.
     """
-    n, dim = locs.shape
     reach = radius * (1.0 + 1e-9)
-    if n < 2:
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
-    low = locs.min(axis=0)
-    span = float((locs.max(axis=0) - low).max())
+    found = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))]
+    parts = [np.arange(len(locs))] if len(locs) > 1 else []
+    while parts:
+        ids = parts.pop()
+        pieces = _gap_split(locs[ids], reach)
+        parts.extend(ids[piece] for piece in pieces if len(piece) > 1)
+        if not pieces:
+            found.extend(_grid_pairs(locs[ids], ids, reach))
+    return tuple(map(np.concatenate, zip(*found)))
+
+
+def _gap_split(pts: np.ndarray, reach: float) -> list[np.ndarray]:
+    """The rows of ``pts`` split at every gap wider than ``reach`` along the
+    first axis that has one, as arrays of row numbers; no parts when the
+    grid needs no cells coarser than ``reach / 2`` or no axis has such a
+    gap. A computed gap is never wider than the true one, so no pair within
+    ``reach`` is split apart."""
+    if np.ptp(pts, axis=0).max() / _MAX_CELLS > reach / 2.0:
+        for a in range(pts.shape[1]):
+            order = np.argsort(pts[:, a], kind="stable")
+            cuts = np.flatnonzero(np.diff(pts[order, a]) > reach) + 1
+            if cuts.size:
+                return np.split(order, cuts)
+    return []
+
+
+def _grid_pairs(pts: np.ndarray, ids: np.ndarray, reach: float):
+    """The candidate pairs within ``reach`` among the points ``pts``, found
+    by the cell grid of ``radius_pairs`` and named by ``ids``, as a list of
+    (i, j, d2) array triples."""
+    n, dim = pts.shape
+    low = pts.min(axis=0)
+    span = float((pts.max(axis=0) - low).max())
     # A zero radius over coincident points still needs a cell of some size.
     side = max(reach / 2.0, span / _MAX_CELLS) or 1.0
     # Each axis counts three cells more than it uses, so that a key range
     # that runs past either end of a row of cells meets only empty cells.
-    cell = np.floor((locs - low) / side).astype(np.int64)
+    cell = np.floor((pts - low) / side).astype(np.int64)
     stride = np.ones(dim, dtype=np.int64)
     for a in range(dim - 2, -1, -1):
         stride[a] = stride[a + 1] * (int(cell[:, a + 1].max()) + 3)
     key = cell @ stride
     order = np.argsort(key, kind="stable")
-    key, pts = key[order], locs[order]
+    key, pts, order = key[order], pts[order], ids[order]
     axes = [np.ascontiguousarray(pts[:, a]) for a in range(dim)]
     pos = np.arange(n)
     found: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
@@ -348,7 +380,7 @@ def radius_pairs(locs: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarra
             diff = pts[src] - pts[dst]
             a, b = order[src], order[dst]
             found.append((np.minimum(a, b), np.maximum(a, b), (diff * diff).sum(axis=-1)))
-    return tuple(map(np.concatenate, zip(*found)))
+    return found
 
 
 # ----------------------------------------------------------------------------

@@ -15,11 +15,13 @@ Only pairs within ``r`` can have a nonzero weight, so ``build_adjacency``
 finds them with the cell grid of ``radius_pairs``, evaluates the three
 factors for all of them at once, and stores the products as one symmetric
 CSR matrix, a ``SparseGraph``: it takes O(N + pairs) memory, where a dense
-matrix takes 8 N^2 bytes. The clustering gathers a dense block, a plain
-``ndarray``, only for the nodes that a Fiedler sweep needs, with
-``SparseGraph.restrict``. The segment minimum comes from
-``segment_min_intensity``, the one sampler that the clustering stop test
-uses as well.
+matrix takes 8 N^2 bytes. The clustering reads it through one gather,
+``SparseGraph.edges``, the stored entries among a set of nodes as
+``(rows, cols, weights)`` arrays: it labels components from those edges,
+and scatters them into a dense block, a plain ``ndarray``, with
+``dense_block`` only for the nodes that a Fiedler sweep needs. The segment
+minimum comes from ``segment_min_intensity``, the one sampler that the
+clustering stop test uses as well.
 """
 
 from __future__ import annotations
@@ -34,6 +36,13 @@ from .errors import InputError, MissingDataError
 from .geometry import PointCloud, radius_pairs
 from .raster import RasterImage, bilinear_sample
 
+# Smallest accepted intensity sampling step, in pixels. Along a segment a
+# bilinear sample changes by at most sqrt(2) times the largest difference of
+# adjacent pixels per pixel, so samples this close find a segment's minimum
+# to within 1 % of that difference. The samples grow as 1 / step: a 60 px
+# segment takes 6,001 here, and 6e13 (480 TB of float64) at a step of 1e-12.
+MIN_SAMPLING_STEP = 0.01
+
 
 @dataclass(frozen=True)
 class GraphParams:
@@ -47,9 +56,12 @@ class GraphParams:
         # asks radius_pairs for every pair.
         if not 0 < self.r < np.inf:
             raise InputError(f"r must be finite and > 0, got {self.r}")
-        for name in ("sigma_d", "sigma_t", "intensity_sampling_step"):
+        for name in ("sigma_d", "sigma_t"):
             if not getattr(self, name) > 0:
                 raise InputError(f"{name} must be > 0, got {getattr(self, name)}")
+        if not self.intensity_sampling_step >= MIN_SAMPLING_STEP:
+            raise InputError(f"intensitySamplingStep must be >= {MIN_SAMPLING_STEP:g} px, "
+                             f"got {self.intensity_sampling_step}")
 
 
 class SparseGraph:
@@ -86,31 +98,38 @@ class SparseGraph:
         """A new dense N x N copy of the matrix; the clustering never reads it."""
         return self.csr.toarray()
 
-    def restrict(self, ids) -> np.ndarray:
-        """The dense principal submatrix on the distinct node ids ``ids``, in
-        that order, as a new float64 array gathered from their CSR rows:
-        equal bit for bit to ``weights[np.ix_(ids, ids)]``, without an N x N
-        array. It is symmetric with a zero diagonal and entries in [0, 1],
-        as the whole matrix is."""
-        ids = np.asarray(ids, dtype=np.int64)
-        k = len(ids)
-        pos = np.full(self.n, -1, dtype=np.int64)
-        pos[ids] = np.arange(k)
+    def edges(self, ids=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The stored entries among the distinct node ids ``ids`` as
+        ``(rows, cols, weights)``, numbered by position in ``ids`` and in
+        row-major order: the nonzero entries of ``weights[np.ix_(ids, ids)]``,
+        gathered from their CSR rows without an N x N array. With ``None``,
+        every node in order, so the CSR triplets of the whole matrix."""
+        ids = np.arange(self.n) if ids is None else np.asarray(ids, dtype=np.int64)
         indptr, indices, data = self.csr.indptr, self.csr.indices, self.csr.data
+        pos = np.full(self.n, -1, dtype=np.int64)
+        pos[ids] = np.arange(len(ids))
         starts, counts = indptr[ids], indptr[ids + 1] - indptr[ids]
         # Each stored entry of the chosen rows: its block row and its slot.
-        rows = np.repeat(np.arange(k), counts)
+        rows = np.repeat(np.arange(len(ids)), counts)
         slots = np.arange(rows.size) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
         cols = pos[indices[slots]]
-        inside = cols >= 0
-        block = np.zeros((k, k))
-        block[rows[inside], cols[inside]] = data[slots[inside]]
-        return block
+        keep = np.flatnonzero(cols >= 0)
+        # A row lists its entries by node id; ids out of order need a sort.
+        if (np.diff(ids) < 0).any():
+            keep = keep[np.argsort(rows[keep] * len(ids) + cols[keep])]
+        return rows[keep], cols[keep], data[slots[keep]]
+
+    def restrict(self, ids) -> np.ndarray:
+        """The dense principal submatrix on the distinct node ids ``ids``, in
+        that order, as a new float64 array scattered from ``edges(ids)``:
+        equal bit for bit to ``weights[np.ix_(ids, ids)]``. It is symmetric
+        with a zero diagonal and entries in [0, 1], as the whole matrix is."""
+        return dense_block(len(ids), *self.edges(ids))
 
     def permuted(self, new_id: np.ndarray) -> "SparseGraph":
         """The same graph with node ``i`` renamed ``new_id[i]``, a permutation."""
-        rows = np.repeat(np.arange(self.n), np.diff(self.csr.indptr))
-        return _canonical(self.n, new_id[rows], new_id[self.csr.indices], self.csr.data)
+        rows, cols, vals = self.edges()
+        return _canonical(self.n, new_id[rows], new_id[cols], vals)
 
     def rows(self):
         """The dense rows of the matrix, in order, one new array at a time."""
@@ -134,6 +153,14 @@ def _canonical(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> 
     graph = SparseGraph.__new__(SparseGraph)
     graph.csr = sparse.csr_array((vals[order], cols[order], indptr), shape=(n, n))
     return graph
+
+
+def dense_block(k: int, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The dense k x k float64 matrix with the distinct entries
+    ``weights`` at ``(rows, cols)`` and zeros elsewhere."""
+    block = np.zeros((k, k))
+    block[rows, cols] = weights
+    return block
 
 
 def intensity_threshold(cloud: PointCloud) -> float:

@@ -29,8 +29,10 @@ that near-null space, and the split would depend on the LAPACK routine.
 work and the same result on every LAPACK build; the split records ncut 0.0
 (its exact Ncut on the field layouts is about 1e-15).
 
-``component_arrays`` finds the components with whole-array numpy steps, in
-the hook-and-jump style of Shiloach and Vishkin, so a small block costs no
+``component_arrays`` finds the components of a graph given as an edge
+list, ``(rows, cols, weights)`` arrays such as ``SparseGraph.edges`` gives,
+with whole-array numpy steps in the hook-and-jump style of Shiloach and
+Vishkin. It reads only the edges, so a block costs no dense scan and no
 sparse-matrix set-up. Every node holds a pointer, first to itself. A round
 hooks each root to the smallest root linked to it by an edge, in either
 direction, when that root is smaller, then jumps every pointer to its root
@@ -49,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, sparse
+from scipy import linalg
 
 from .errors import DegenerateInputError, InputError
 
@@ -106,25 +108,17 @@ def smallest_eigenpairs(matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     return linalg.eigh(m, subset_by_index=[0, k - 1], driver="evr", check_finite=False)
 
 
-def component_arrays(w) -> list[np.ndarray]:
-    """Connected components of a dense or sparse weight matrix, linking two
+def component_arrays(n: int, rows: np.ndarray, cols: np.ndarray,
+                     weights: np.ndarray) -> list[np.ndarray]:
+    """Connected components of the graph on nodes ``0..n-1`` with an edge of
+    weight ``weights[k]`` between ``rows[k]`` and ``cols[k]``, linking two
     nodes only by an edge of weight >= ``WEAK_LINK``, found by the
-    hook-and-jump labeller of the module docstring. Each component is a
-    sorted int64 array, and they are ordered by their smallest member."""
-    if sparse.issparse(w):
-        coo = w.tocoo()
-        linked = coo.data >= WEAK_LINK
-        ii, jj = coo.row[linked].astype(np.int64), coo.col[linked].astype(np.int64)
-    else:
-        # Blocks of about 2**20 entries: the mask of a block takes 1 MiB,
-        # where one of the whole matrix would take N^2 bytes. A 1-D
-        # flatnonzero is several times faster than a 2-D nonzero.
-        w = np.asarray(w)
-        n = w.shape[0]
-        rows = 1 + 2**20 // max(n, 1)
-        flat = [np.flatnonzero(w[r:r + rows] >= WEAK_LINK) + r * n for r in range(0, n, rows)]
-        ii, jj = np.divmod(np.concatenate([np.zeros(0, dtype=np.int64), *flat]), n)
-    label = np.arange(w.shape[0])
+    hook-and-jump labeller of the module docstring. An edge links its ends
+    whichever way it is listed. Each component is a sorted int64 array, and
+    they are ordered by their smallest member."""
+    linked = weights >= WEAK_LINK
+    ii, jj = rows[linked], cols[linked]
+    label = np.arange(n)
     # Every label is a root at the top of a round.
     while ii.size:
         # Hook each root to its smallest linked root, if that is smaller.
@@ -187,21 +181,16 @@ def ncut_bipartition(w: np.ndarray) -> Bipartition:
     cut = np.maximum(assoc_a - within[:-1], 0.0)
     ncuts = cut / assoc_a + cut / assoc_b
 
-    best = ncuts.min()
-    tied = np.nonzero(ncuts == best)[0]
-    if tied.size == 1:
-        k = int(tied[0])
-    else:
-        ranked = []
-        for cand in tied.tolist():
-            size_a = cand + 1
-            balance = min(size_a, n - size_a)
-            side = sorted(order[: cand + 1].tolist())
-            if 0 not in side:
-                side = sorted(order[cand + 1 :].tolist())
-            ranked.append((-balance, tuple(side), cand))
-        ranked.sort()
-        k = ranked[0][2]
+    tied = np.flatnonzero(ncuts == ncuts.min()).tolist()
+    if len(tied) > 1:
+        # Threshold k puts the first k + 1 sorted nodes on one side. Ties go
+        # to the more balanced split, then to the lower id list on the side
+        # of node 0 (at sorted position ``zero``), then, as the sort is
+        # stable, to the lower threshold.
+        zero = int(np.argmin(order))
+        tied.sort(key=lambda k: (-min(k + 1, n - k - 1),
+                                 sorted((order[: k + 1] if zero <= k else order[k + 1 :]).tolist())))
+    k = tied[0]
 
     a, b = frozenset(order[: k + 1].tolist()), frozenset(order[k + 1 :].tolist())
     if min(b) < min(a):

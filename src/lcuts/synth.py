@@ -178,11 +178,9 @@ def _sample_free_rod(spec: SynthSpec, rng: np.random.Generator, side: float,
     axis = _random_direction(rng, spec.dim)
     p0 = center - 0.5 * length * axis
     p1 = center + 0.5 * length * axis
-    if not _in_bounds(np.stack([p0, p1]), side):
-        return None
-    if not _keeps_gap((p0, p1), rods, spec.min_rod_gap):
-        return None
-    return p0, p1
+    if _in_bounds(np.stack([p0, p1]), side) and _keeps_gap((p0, p1), rods, spec.min_rod_gap):
+        return p0, p1
+    return None
 
 
 def _sample_partner(spec: SynthSpec, rng: np.random.Generator, side: float,
@@ -197,11 +195,10 @@ def _sample_partner(spec: SynthSpec, rng: np.random.Generator, side: float,
     length = rng.uniform(*spec.length_range)
     p0 = cross - rng.uniform(0.35, 0.65) * length * axis
     p1 = p0 + length * axis
-    if not _in_bounds(np.stack([p0, p1]), side):
-        return None
-    if not _keeps_gap((p0, p1), rods, spec.min_rod_gap, skip=base_index):
-        return None
-    return (p0, p1), cross
+    rod = (p0, p1)
+    if _in_bounds(np.stack(rod), side) and _keeps_gap(rod, rods, spec.min_rod_gap, skip=base_index):
+        return rod, cross
+    return None
 
 
 def _place_rods(spec: SynthSpec, rng: np.random.Generator) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[np.ndarray]]:

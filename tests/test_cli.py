@@ -480,6 +480,24 @@ def test_huge_gaussian_sigma_exits_2_at_once(tmp_path, capsys, sigma):
     assert not (tmp_path / "found.csv").exists()
 
 
+@pytest.mark.parametrize("step", ["1e-12", "1e-300"])
+def test_tiny_sampling_step_exits_2_at_once(tmp_path, capsys, step):
+    # Without a floor, 1e-12 asked numpy for a 21.8 TiB sample array and
+    # failed with a traceback, and 1e-300 overflowed the sample count and
+    # sampled only the endpoints of each segment.
+    write_pgm(tmp_path / "img.pgm", RasterImage(np.full((20, 20), 0.5)))
+    cloud = tmp_path / "c.csv"
+    cloud.write_text("x,y,intensity\n1.0,1.0,0.5\n4.0,1.0,0.5\n7.0,1.0,0.4\n10.0,1.0,0.5\n")
+    cfg = tmp_path / "bad.cfg"
+    write_spec(cfg, intensitySamplingStep=step)
+    out = tmp_path / "out.json"
+    assert cli.main(["--config", str(cfg), "--quiet", "cluster", str(cloud), str(out),
+                     "--image", str(tmp_path / "img.pgm")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {cfg}: intensitySamplingStep must be >= 0.01 px, got {float(step)!r}\n"
+    assert not out.exists()
+
+
 def test_coordinates_up_to_2_53_cluster_and_beyond_exit_2(tmp_path, capsys):
     # 2**53 is the largest accepted magnitude; the next float up is refused
     # with the line that holds it, before any pair search could overflow.

@@ -296,9 +296,9 @@ def test_radius_pairs_small_and_degenerate_clouds():
 
 
 def test_radius_pairs_far_beyond_the_cell_cap(monkeypatch):
-    # The outliers stretch the span to 2**54 on every axis, so the cells are
-    # 2**34 px wide and every point of the lattice shares one; candidates are
-    # checked in blocks, here of 64 pairs.
+    # The outliers stretch the span to 2**54 on every axis, past the 2**20
+    # cells of the cap, so the cloud is split at its gaps before any grid is
+    # made; candidates are checked in blocks, here of 64 pairs.
     monkeypatch.setattr(geometry, "_CANDIDATE_BLOCK", 64)
     rng = np.random.default_rng(24)
     for dim in (2, 3):
@@ -307,3 +307,58 @@ def test_radius_pairs_far_beyond_the_cell_cap(monkeypatch):
         for radius in (0.0, 2.0, 5.0):
             assert_pairs_match_tree(locs, radius)
         assert_pairs_match_tree(lattice_cloud(rng, 200, dim, 0.5), 2.5)
+
+
+# Most candidates radius_pairs may check per point plus pair found. A point's
+# forward key ranges of cells of side reach / 2 cover about 2x the half disc
+# of radius reach that holds its forward pairs in 2-D, and 4x the half ball
+# in 3-D, so at uniform density the candidates stay near that multiple.
+CANDIDATES_PER_PAIR = 8
+
+
+def count_candidates(monkeypatch):
+    """Wrap geometry._candidates; the list's one entry counts the candidate
+    pairs it yields."""
+    counted = [0]
+    candidates = geometry._candidates
+
+    def counting(start, counts):
+        counted[0] += int(counts.sum())
+        return candidates(start, counts)
+
+    monkeypatch.setattr(geometry, "_candidates", counting)
+    return counted
+
+
+def test_far_outliers_keep_the_candidates_linear(monkeypatch):
+    # Without the split at gaps, one point at 2**40 made the cells wider
+    # than the square, and all 1,999,000 pairs were candidates.
+    counted = count_candidates(monkeypatch)
+    rng = np.random.default_rng(25)
+    square = rng.uniform(0.0, 1000.0, size=(2000, 2))
+    blobs = [np.concatenate([rng.uniform(-50.0, 50.0, size=(150, dim))
+                             + rng.uniform(-2.0 ** 45, 2.0 ** 45, size=dim) for _ in range(4)])
+             for dim in (2, 3)]
+    clouds = [(np.concatenate([square, [[2.0 ** 40, 0.0]]]), 60.0),
+              (np.concatenate([square, [[-MAX_COORD, MAX_COORD], [MAX_COORD, 0.0]]]), 60.0),
+              (np.concatenate([rng.uniform(0.0, 300.0, size=(1500, 3)), [[0.0, 0.0, 2.0 ** 50]]]), 20.0),
+              (blobs[0], 5.0), (blobs[1], 5.0)]
+    for locs, radius in clouds:
+        counted[0] = 0
+        pairs = len(radius_pairs(locs, radius)[0])
+        assert counted[0] <= CANDIDATES_PER_PAIR * (len(locs) + pairs), (len(locs), pairs, counted[0])
+        assert_pairs_match_tree(locs, radius)
+
+
+def test_chains_without_gaps_search_capped_cells(monkeypatch):
+    # A cloud wider than the cap allows and without a gap wider than the
+    # reach keeps the capped, coarse cells; with the cap lowered to 16 cells
+    # a short chain is such a cloud.
+    monkeypatch.setattr(geometry, "_MAX_CELLS", 16)
+    rng = np.random.default_rng(26)
+    for dim in (2, 3):
+        chain = np.cumsum(rng.uniform(0.0, 1.0, size=(200, dim)), axis=0)
+        gapped = np.concatenate([chain, chain[:50] + 500.0, [[1e6] * dim]])
+        for locs in (chain, gapped):
+            for radius in (1.0, 2.5, 6.0):
+                assert_pairs_match_tree(locs, radius)

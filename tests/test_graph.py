@@ -6,7 +6,7 @@ import pytest
 from lcuts.direction import VotingParams, assign_all_directions
 from lcuts.errors import InputError, MissingDataError
 from lcuts.geometry import Node, PointCloud
-from lcuts.graph import (GraphParams, SparseGraph, _canonical, build_adjacency,
+from lcuts.graph import (MIN_SAMPLING_STEP, GraphParams, SparseGraph, _canonical, build_adjacency,
                          intensity_threshold, segment_min_intensity)
 from lcuts.raster import RasterImage, bilinear_sample
 from lcuts.spectral import component_arrays
@@ -234,7 +234,8 @@ def assert_canonical(graph):
 
 def assert_sparse_equals_dense(graph, w, rng):
     """Every read of ``graph`` equals the same read of its dense matrix ``w``
-    as bytes, and its components are those of the dense matrix."""
+    as bytes, and the components of its edges are those of the nonzero
+    entries of the dense matrix."""
     n = len(w)
     assert graph.n == n and graph.weights.tobytes() == w.tobytes()
     subsets = [[], list(range(n)), rng.permutation(n)]
@@ -254,8 +255,9 @@ def assert_sparse_equals_dense(graph, w, rng):
     assert_canonical(moved)
     assert moved.weights.tobytes() == w[np.ix_(rank, rank)].tobytes()
     assert b"".join(row.tobytes() for row in graph.rows()) == w.tobytes()
-    assert ([c.tolist() for c in component_arrays(graph.csr)]
-            == [c.tolist() for c in component_arrays(w)])
+    rows, cols = np.nonzero(w)
+    assert ([c.tolist() for c in component_arrays(n, *graph.edges())]
+            == [c.tolist() for c in component_arrays(n, rows, cols, w[rows, cols])])
 
 
 def test_sparse_graph_equals_dense_on_fuzz_corpus():
@@ -275,6 +277,38 @@ def test_sparse_graph_equals_dense_on_fuzz_corpus():
         w = np.zeros((len(cloud), len(cloud)))
         w[coo.row, coo.col] = coo.data
         assert_sparse_equals_dense(graph, w, pick)
+
+
+def assert_edges_are_nonzero_entries(graph, w, rng):
+    """``edges(ids)`` lists the nonzero entries of ``w[np.ix_(ids, ids)]`` in
+    row-major order, and ``edges()`` the CSR triplets."""
+    n = len(w)
+    rows, cols, vals = graph.edges()
+    csr = graph.csr
+    assert rows.tolist() == np.repeat(np.arange(n), np.diff(csr.indptr)).tolist()
+    assert cols.tolist() == csr.indices.tolist() and vals.tobytes() == csr.data.tobytes()
+    chosen = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+    for ids in ([], list(range(n)), [int(rng.integers(n))], rng.permutation(n), chosen,
+                np.sort(chosen), np.sort(chosen).tolist()):
+        block = w[np.ix_(ids, ids)]
+        want = np.nonzero(block)
+        rows, cols, vals = graph.edges(ids)
+        assert rows.tolist() == want[0].tolist() and cols.tolist() == want[1].tolist()
+        assert vals.tobytes() == block[want].tobytes()
+
+
+def test_edges_are_nonzero_block_entries_on_fuzz_corpus():
+    # Replays criterion 09's corpus draw for draw.
+    rng = np.random.default_rng(3)
+    pick = np.random.default_rng(13)
+    for t in range(500):
+        cloud = fuzz_cloud(t, rng)
+        if t % 10 == 0 and len(cloud) > 1:
+            rng.permutation(len(cloud))
+        if len(cloud) == 0:
+            continue
+        graph = build_adjacency(assign_all_directions(cloud, VotingParams()), GraphParams())
+        assert_edges_are_nonzero_entries(graph, graph.weights, pick)
 
 
 def test_sparse_graph_equals_dense_on_random_matrices():
@@ -367,5 +401,7 @@ def test_graph_params_validation():
         GraphParams(r=float("inf"))
     with pytest.raises(InputError):
         GraphParams(sigma_d=-1.0)
-    with pytest.raises(InputError):
-        GraphParams(intensity_sampling_step=0.0)
+    for step in (0.0, 1e-12, 1e-300, float("nan")):
+        with pytest.raises(InputError, match="intensitySamplingStep must be >= 0.01 px"):
+            GraphParams(intensity_sampling_step=step)
+    assert GraphParams(intensity_sampling_step=MIN_SAMPLING_STEP).intensity_sampling_step == 0.01

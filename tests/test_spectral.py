@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from lcuts import spectral
 from lcuts.direction import VotingParams, assign_all_directions
 from lcuts.errors import DegenerateInputError, InputError
 from lcuts.graph import GraphParams, build_adjacency
@@ -13,7 +14,10 @@ from test_acceptance import fuzz_cloud
 
 
 def components(w):
-    return [c.tolist() for c in component_arrays(w)]
+    """The components of a dense or sparse matrix, labelled from its stored
+    entries as edges."""
+    coo = sparse.coo_array(w)
+    return [c.tolist() for c in component_arrays(coo.shape[0], coo.row, coo.col, coo.data)]
 
 
 def graph_from(w):
@@ -277,6 +281,45 @@ def test_bipartition_matches_brute_force():
         got_side = part.group_a if 0 in part.group_a else part.group_b
         assert got_side == best_side
         assert part.ncut == pytest.approx(best_val, abs=1e-9)
+
+
+def test_bipartition_breaks_sweep_ties_by_balance_then_ids(monkeypatch):
+    # Unit weights make cuts and associations exact integers, so complete
+    # graphs and cycles tie many thresholds exactly. The chosen threshold is
+    # the most balanced, then the one with the lowest sorted id list on the
+    # side of node 0, then the lowest; the sweep order is read back from the
+    # eigenvector the solver returned.
+    solved = []
+    solve = spectral.smallest_eigenpairs
+
+    def recording(matrix, k):
+        solved.append(solve(matrix, k))
+        return solved[-1]
+
+    monkeypatch.setattr(spectral, "smallest_eigenpairs", recording)
+    rng = np.random.default_rng(31)
+    broken = 0
+    for n in range(3, 11):
+        cycle = np.zeros((n, n))
+        cycle[np.arange(n), (np.arange(n) + 1) % n] = 1.0
+        for w in (1.0 - np.eye(n), cycle + cycle.T):
+            perm = rng.permutation(n)
+            w = w[np.ix_(perm, perm)]
+            part = ncut_bipartition(w)
+            deg = w.sum(axis=1)
+            order = np.argsort(1.0 / np.sqrt(deg) * solved[-1][1][:, 1], kind="stable")
+            ncuts = [ncut_value(w, order[: k + 1], order[k + 1 :]) for k in range(n - 1)]
+            tied = [k for k in range(n - 1) if ncuts[k] == min(ncuts)]
+
+            def side_of_zero(k):
+                side = sorted(order[: k + 1].tolist())
+                return side if 0 in side else sorted(order[k + 1 :].tolist())
+
+            k = min(tied, key=lambda k: (-min(k + 1, n - k - 1), side_of_zero(k), k))
+            assert {part.group_a, part.group_b} == {frozenset(order[: k + 1].tolist()),
+                                                    frozenset(order[k + 1 :].tolist())}
+            broken += len({(min(t + 1, n - t - 1), tuple(side_of_zero(t))) for t in tied}) > 1
+    assert broken  # some ties were broken by the rule, not by the sweep
 
 
 def test_bipartition_scale_invariant_and_deterministic():

@@ -17,7 +17,7 @@ from .graph import GraphParams, SparseGraph, build_adjacency, intensity_threshol
 from .metrics import EvalReport, counting_accuracy, dice, evaluate, grouping_accuracy, match_clusters
 from .pipeline import PipelineParams, extract_nodes, find_local_maxima, gaussian_filter, prune_nodes, subtract_background
 from .raster import RasterImage, bilinear_sample, read_csv_grid, read_image, read_pgm, write_pgm
-from .spectral import Bipartition, ncut_bipartition, ncut_value, smallest_eigenpairs
+from .spectral import Bipartition, ncut_bipartition, smallest_eigenpairs
 from .synth import SynthSpec, generate_cloud, generate_image
 
 __version__ = "0.1.0"

@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="flat key=value parameter file")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     parser.add_argument("--dump-adjacency", metavar="PATH",
-                        help="write the affinity matrix CSV (cluster command)")
+                        help="write the affinity edge list CSV, i,j,w per pair (cluster command)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("extract", help="detect ridge nodes in an image")

@@ -21,10 +21,10 @@ nodes with no link >= 1e-12 inside their group. Every union of whole
 components has Ncut 0, so a group of several components that fails its
 stop test splits into all of them in one record (ncut 0.0, one child per
 component, by smallest member); only a connected group has its edges
-gathered from the CSR rows, once, and scattered into a dense block, a
-plain ``ndarray``, for the Fiedler sweep. Connectivity is the precondition
-of ``spectral.ncut_bipartition``, met here by construction, so the sweep
-does not search the block for components.
+gathered from the CSR rows, once, and the Fiedler sweep reads that edge
+list, building no array but the block's normalized Laplacian. Connectivity
+is the precondition of ``spectral.ncut_bipartition``, met here by
+construction, so the sweep does not search the block for components.
 
 The recursion carries each node's ids as a sorted int64 array of working
 (location-sorted) ids and translates the record back to the caller's ids
@@ -43,8 +43,7 @@ import numpy as np
 from .direction import VotingParams, assign_all_directions
 from .errors import InputError
 from .geometry import LineFit, PointCloud, fit_line
-from .graph import (GraphParams, SparseGraph, build_adjacency, dense_block, intensity_threshold,
-                    segment_min_intensity)
+from .graph import GraphParams, SparseGraph, build_adjacency, intensity_threshold, segment_min_intensity
 from .spectral import component_arrays, ncut_bipartition
 
 
@@ -170,8 +169,8 @@ def lcuts(cloud: PointCloud, gparams: GraphParams | None = None,
 
     Directions are estimated once and the sparse affinity matrix is built
     once. Nodes with no link >= ``WEAK_LINK`` inside their group are
-    stripped to outliers before any split; the recursion scatters a group's
-    edges into a dense block only for a spectral split. The result carries
+    stripped to outliers before any split; the recursion gathers a group's
+    edges only for a spectral split. The result carries
     the sparse matrix in working order, with the permutation back to the
     caller's order.
     """
@@ -237,7 +236,7 @@ def lcuts(cloud: PointCloud, gparams: GraphParams | None = None,
                 sides = [[c] for c in comps]
             else:
                 rows, cols, vals = graph.edges(ids)
-                part = ncut_bipartition(dense_block(len(ids), rows, cols, vals))
+                part = ncut_bipartition(len(ids), rows, cols, vals)
                 node.ncut = part.ncut
                 # One component search for both sides: drop the cut edges,
                 # and each component then lies within one side.

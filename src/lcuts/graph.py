@@ -18,10 +18,9 @@ CSR matrix, a ``SparseGraph``: it takes O(N + pairs) memory, where a dense
 matrix takes 8 N^2 bytes. The clustering reads it through one gather,
 ``SparseGraph.edges``, the stored entries among a set of nodes as
 ``(rows, cols, weights)`` arrays: it labels components from those edges,
-and scatters them into a dense block, a plain ``ndarray``, with
-``dense_block`` only for the nodes that a Fiedler sweep needs. The segment
-minimum comes from ``segment_min_intensity``, the one sampler that the
-clustering stop test uses as well.
+and the Fiedler sweep reads them too. The segment minimum comes from
+``segment_min_intensity``, the one sampler that the clustering stop test
+uses as well.
 """
 
 from __future__ import annotations
@@ -95,7 +94,8 @@ class SparseGraph:
 
     @property
     def weights(self) -> np.ndarray:
-        """A new dense N x N copy of the matrix; the clustering never reads it."""
+        """A new dense N x N copy of the matrix, for tests and tracing; the
+        clustering never reads it."""
         return self.csr.toarray()
 
     def edges(self, ids=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -119,25 +119,10 @@ class SparseGraph:
             keep = keep[np.argsort(rows[keep] * len(ids) + cols[keep])]
         return rows[keep], cols[keep], data[slots[keep]]
 
-    def restrict(self, ids) -> np.ndarray:
-        """The dense principal submatrix on the distinct node ids ``ids``, in
-        that order, as a new float64 array scattered from ``edges(ids)``:
-        equal bit for bit to ``weights[np.ix_(ids, ids)]``. It is symmetric
-        with a zero diagonal and entries in [0, 1], as the whole matrix is."""
-        return dense_block(len(ids), *self.edges(ids))
-
     def permuted(self, new_id: np.ndarray) -> "SparseGraph":
         """The same graph with node ``i`` renamed ``new_id[i]``, a permutation."""
         rows, cols, vals = self.edges()
         return _canonical(self.n, new_id[rows], new_id[cols], vals)
-
-    def rows(self):
-        """The dense rows of the matrix, in order, one new array at a time."""
-        indptr, indices, data = self.csr.indptr, self.csr.indices, self.csr.data
-        for k in range(self.n):
-            row = np.zeros(self.n)
-            row[indices[indptr[k]:indptr[k + 1]]] = data[indptr[k]:indptr[k + 1]]
-            yield row
 
 
 def _canonical(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> SparseGraph:
@@ -153,14 +138,6 @@ def _canonical(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> 
     graph = SparseGraph.__new__(SparseGraph)
     graph.csr = sparse.csr_array((vals[order], cols[order], indptr), shape=(n, n))
     return graph
-
-
-def dense_block(k: int, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The dense k x k float64 matrix with the distinct entries
-    ``weights`` at ``(rows, cols)`` and zeros elsewhere."""
-    block = np.zeros((k, k))
-    block[rows, cols] = weights
-    return block
 
 
 def intensity_threshold(cloud: PointCloud) -> float:
@@ -236,12 +213,11 @@ def build_adjacency(cloud: PointCloud, params: GraphParams,
 
 
 def write_adjacency_csv(path: str | Path, graph: SparseGraph) -> None:
-    """Dump the full matrix, one row per line, full float precision.
-
-    Rows are made and written one at a time, so no more than one dense row
-    and one line of text are held in memory. The bytes are those of
-    ``"\\n".join(rows) + "\\n"``; an empty matrix gives a single newline."""
-    with Path(path).open("w", encoding="utf-8") as out:
-        for k, row in enumerate(graph.rows()):
-            out.write(("\n" if k else "") + ",".join(map(repr, row.tolist())))
-        out.write("\n")
+    """Dump the matrix as an edge list: the header ``i,j,w``, then one line
+    ``i,j,w`` per stored pair with ``i < j``, in row-major order, with the
+    weight at full float precision."""
+    rows, cols, vals = graph.edges()
+    upper = rows < cols
+    lines = map("{},{},{!r}\n".format, rows[upper].tolist(), cols[upper].tolist(),
+                vals[upper].tolist())
+    Path(path).write_text("i,j,w\n" + "".join(lines), encoding="utf-8")

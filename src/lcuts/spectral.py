@@ -4,18 +4,24 @@ The relaxation follows the classic recipe: eigenvector of the second-smallest
 eigenvalue of the symmetric normalized Laplacian, mapped back through
 D^(-1/2), then an exhaustive sweep over the n-1 thresholds between
 consecutive sorted entries picks the split with the smallest true Ncut.
-``ncut_bipartition`` splits a connected graph, given as its dense affinity
-matrix, a plain symmetric float64 ``ndarray``: the edges of weight at least
-``WEAK_LINK`` must join every node. It does not search for components to
-check that; ``engine.lcuts`` meets it by construction. A graph with several
-such components has an Ncut of 0 between any union of components and the
-rest, so it needs no bipartition; the recursion in ``engine`` splits it
-into all of its components at once, and hands the sweep one connected
-component at a time. The sweep uses a dense solver: those blocks are small
+``ncut_bipartition`` splits a connected graph, given as an edge list,
+``(rows, cols, weights)`` arrays with every edge listed both ways, such as
+``SparseGraph.edges`` gives: the edges of weight at least ``WEAK_LINK``
+must join every node. It does not search for components to check that;
+``engine.lcuts`` meets it by construction. A graph with several such
+components has an Ncut of 0 between any union of components and the rest,
+so it needs no bipartition; the recursion in ``engine`` splits it into all
+of its components at once, and hands the sweep one connected component at
+a time.
+
+The degrees, the sweep and the Ncut of the chosen split read only the
+edges. The one n x n array is the normalized Laplacian, scattered from the
+edges and solved in place by a dense solver: the blocks are small
 (hundreds to a few thousand nodes) and dense eigensolvers need no
-convergence tuning. The sweep reads only the Fiedler vector, so
-``smallest_eigenpairs`` asks LAPACK for the two smallest eigenpairs alone,
-not for all n.
+convergence tuning. The sweep reads only the Fiedler vector, so LAPACK is
+asked for the two smallest eigenpairs alone, not for all n. A block whose
+Laplacian would exceed ``MAX_LAPLACIAN_BYTES`` is refused before anything
+is allocated.
 
 Two nodes count as linked only through an edge of weight at least
 ``WEAK_LINK`` (1e-12). Lighter edges keep their weight in every degree, cut
@@ -53,10 +59,20 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg
 
-from .errors import DegenerateInputError, InputError
+from .errors import DegenerateInputError, InputError, LcutsError
 
 # Smallest edge weight that links two nodes; see the module docstring.
 WEAK_LINK = 1e-12
+
+# Largest normalized Laplacian the Fiedler sweep builds, in bytes: 8 n^2 for
+# an n-node block, so at most 11,585 nodes. The Laplacian is the sweep's one
+# n x n array, so this bounds the memory a split adds to the process. The
+# dense solve is cubic in n: the 2,900-node block of the most crowded field
+# layout (64 MiB) takes about 10 s on one core, so a block at this limit
+# takes about 64 times as long, some ten minutes. A bigger block raises
+# LcutsError, where it would otherwise run for hours or be killed for
+# memory.
+MAX_LAPLACIAN_BYTES = 2 ** 30
 
 
 @dataclass(frozen=True)
@@ -68,33 +84,20 @@ class Bipartition:
     ncut: float
 
 
-def ncut_value(w: np.ndarray, a, b) -> float:
-    """Ncut(A, B) = cut(A,B)/assoc(A,V) + cut(A,B)/assoc(B,V) on the
-    symmetric affinity matrix ``w``."""
-    a_idx = np.asarray(sorted(a), dtype=np.int64)
-    b_idx = np.asarray(sorted(b), dtype=np.int64)
-    n = w.shape[0]
-    if a_idx.size == 0 or b_idx.size == 0:
-        raise DegenerateInputError("both sides of a bipartition must be non-empty")
-    marks = np.zeros(n, dtype=np.int64)
-    marks[a_idx] += 1
-    marks[b_idx] += 1
-    if a_idx.size + b_idx.size != n or np.any(marks != 1):
-        raise InputError("A and B must partition the node set exactly")
-    cut = float(w[np.ix_(a_idx, b_idx)].sum())
-    assoc_a = float(w[a_idx, :].sum())
-    assoc_b = float(w[b_idx, :].sum())
-    if assoc_a == 0.0 or assoc_b == 0.0:
-        raise DegenerateInputError("a side has zero association; ncut undefined")
-    return cut / assoc_a + cut / assoc_b
+def _lowest_eigenpairs(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k smallest eigenpairs of the finite symmetric float64 matrix
+    ``m`` by LAPACK's relatively robust representations driver (``evr``),
+    which reads its lower triangle and overwrites it. A Fortran-ordered
+    ``m`` is solved in place, with no copy."""
+    return linalg.eigh(m, subset_by_index=[0, k - 1], driver="evr", check_finite=False,
+                       overwrite_a=True)
 
 
 def smallest_eigenpairs(matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k smallest eigenvalues (ascending) and orthonormal eigenvectors of
-    a symmetric matrix, and only those: LAPACK's relatively robust
-    representations driver (``evr``) solves for the k wanted pairs, where a
-    full solve computes all n. Symmetry is required within 1e-9, and the
-    entries must be finite."""
+    a symmetric matrix, and only those: ``evr`` solves for the k wanted
+    pairs, where a full solve computes all n. Symmetry is required within
+    1e-9, and the entries must be finite. The matrix is left unchanged."""
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError("matrix must be square")
@@ -105,7 +108,7 @@ def smallest_eigenpairs(matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
         raise InputError("matrix entries must be finite")
     if n and float(np.abs(m - m.T).max()) > 1e-9:
         raise InputError("matrix is not symmetric within 1e-9")
-    return linalg.eigh(m, subset_by_index=[0, k - 1], driver="evr", check_finite=False)
+    return _lowest_eigenpairs(np.array(m, order="F"), k)
 
 
 def component_arrays(n: int, rows: np.ndarray, cols: np.ndarray,
@@ -141,8 +144,13 @@ def component_arrays(n: int, rows: np.ndarray, cols: np.ndarray,
     return np.split(members, np.cumsum(sizes[sizes > 0]))[:-1]
 
 
-def ncut_bipartition(w: np.ndarray) -> Bipartition:
-    """Fiedler split of the graph with the symmetric affinity matrix ``w``.
+def ncut_bipartition(n: int, rows: np.ndarray, cols: np.ndarray,
+                     weights: np.ndarray) -> Bipartition:
+    """Fiedler split of the graph on nodes ``0..n-1`` with an edge of weight
+    ``weights[k]`` from ``rows[k]`` to ``cols[k]``. The positions must be
+    distinct and off the diagonal, and every edge listed both ways with the
+    same weight, as ``SparseGraph.edges`` gives them; the Laplacian is then
+    symmetric by construction and is not checked.
 
     Precondition, not checked: the edges of weight >= ``WEAK_LINK``
     connect the graph. Every union of the components of a disconnected
@@ -150,32 +158,38 @@ def ncut_bipartition(w: np.ndarray) -> Bipartition:
     them and passes only connected blocks here. Outside the precondition
     the split is still a valid bipartition, but of a near-null eigenvector.
     Fewer than 2 nodes, or a node without any edge, raise
-    DegenerateInputError.
+    DegenerateInputError; a block whose Laplacian would take more than
+    ``MAX_LAPLACIAN_BYTES`` raises LcutsError.
 
     The sweep takes the threshold of smallest Ncut, with ties resolved
     toward the more balanced split and then the lexicographically lower id
     set. The returned ncut is recomputed exactly from the chosen groups.
     """
-    n = w.shape[0]
     if n < 2:
         raise DegenerateInputError("need at least 2 nodes to bipartition")
-    deg = w.sum(axis=1)
+    if 8 * n * n > MAX_LAPLACIAN_BYTES:
+        raise LcutsError(f"a connected block of {n} nodes needs a {8 * n * n / 2 ** 20:.0f} MiB "
+                         f"Laplacian, above the {MAX_LAPLACIAN_BYTES / 2 ** 20:.0f} MiB limit "
+                         f"of the Fiedler sweep")
+    deg = np.bincount(rows, weights, minlength=n)
     if not deg.all():
         raise DegenerateInputError("a node has no edge; the graph is not connected")
     dinv = 1.0 / np.sqrt(deg)
-    norm_w = w * np.multiply.outer(dinv, dinv)
-    lap = np.eye(n) - norm_w
-    _, vecs = smallest_eigenpairs(lap, 2)
+    lap = np.zeros((n, n))
+    lap[rows, cols] = -(weights * (dinv[rows] * dinv[cols]))
+    np.fill_diagonal(lap, 1.0)
+    # The transpose is the same matrix, in Fortran order, so evr solves it in place.
+    _, vecs = _lowest_eigenpairs(lap.T, 2)
     x = dinv * vecs[:, 1]
 
     order = np.argsort(x, kind="stable")
-    ws = w[order][:, order]
-    deg_s = deg[order]
-    cum_deg = np.cumsum(deg_s)
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    cum_deg = np.cumsum(deg[order])
     total = cum_deg[-1]
-    # within[k]: total weight (both directions) among the first k+1 sorted nodes.
-    row_in = np.tril(ws, -1).sum(axis=1)
-    within = 2.0 * np.cumsum(row_in)
+    # within[k]: total weight (both directions) among the first k+1 sorted
+    # nodes. An edge joins them from the later sorted position of its ends.
+    within = np.cumsum(np.bincount(np.maximum(pos[rows], pos[cols]), weights, minlength=n))
     assoc_a = cum_deg[:-1]
     assoc_b = total - assoc_a
     cut = np.maximum(assoc_a - within[:-1], 0.0)
@@ -187,12 +201,14 @@ def ncut_bipartition(w: np.ndarray) -> Bipartition:
         # to the more balanced split, then to the lower id list on the side
         # of node 0 (at sorted position ``zero``), then, as the sort is
         # stable, to the lower threshold.
-        zero = int(np.argmin(order))
+        zero = int(pos[0])
         tied.sort(key=lambda k: (-min(k + 1, n - k - 1),
                                  sorted((order[: k + 1] if zero <= k else order[k + 1 :]).tolist())))
     k = tied[0]
 
-    a, b = frozenset(order[: k + 1].tolist()), frozenset(order[k + 1 :].tolist())
-    if min(b) < min(a):
-        a, b = b, a
-    return Bipartition(a, b, ncut_value(w, a, b))
+    # The side of node 0 is group_a.
+    in_a = (pos <= k) == (pos[0] <= k)
+    cut_ab = float(weights[in_a[rows] & ~in_a[cols]].sum())
+    ncut = cut_ab / float(deg[in_a].sum()) + cut_ab / float(deg[~in_a].sum())
+    return Bipartition(frozenset(np.flatnonzero(in_a).tolist()),
+                       frozenset(np.flatnonzero(~in_a).tolist()), ncut)

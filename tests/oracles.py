@@ -17,11 +17,11 @@ from scipy.sparse.csgraph import connected_components
 
 from lcuts.direction import VotingParams, _hop_reach
 from lcuts.engine import Decision, StopCheck, StoppingLimits
-from lcuts.errors import DimensionMismatchError, InputError, MissingDataError
+from lcuts.errors import DegenerateInputError, DimensionMismatchError, InputError, MissingDataError
 from lcuts.geometry import PointCloud, fit_line
 from lcuts.graph import GraphParams
 from lcuts.raster import RasterImage, bilinear_sample
-from lcuts.spectral import WEAK_LINK
+from lcuts.spectral import WEAK_LINK, Bipartition, smallest_eigenpairs
 from lcuts.synth import segment_distance
 
 
@@ -236,6 +236,74 @@ def components(w) -> list[list[int]]:
     comps = [c.tolist() for c in np.split(members, np.cumsum(np.bincount(labels))[:-1])]
     comps.sort(key=lambda c: c[0])
     return comps
+
+
+# ----------------------------------------------------------------------------
+# Normalized cuts on a dense affinity matrix
+
+
+def ncut_value(w: np.ndarray, a, b) -> float:
+    """Ncut(A, B) = cut(A,B)/assoc(A,V) + cut(A,B)/assoc(B,V) on the
+    symmetric affinity matrix ``w``."""
+    a_idx = np.asarray(sorted(a), dtype=np.int64)
+    b_idx = np.asarray(sorted(b), dtype=np.int64)
+    n = w.shape[0]
+    if a_idx.size == 0 or b_idx.size == 0:
+        raise DegenerateInputError("both sides of a bipartition must be non-empty")
+    marks = np.zeros(n, dtype=np.int64)
+    marks[a_idx] += 1
+    marks[b_idx] += 1
+    if a_idx.size + b_idx.size != n or np.any(marks != 1):
+        raise InputError("A and B must partition the node set exactly")
+    cut = float(w[np.ix_(a_idx, b_idx)].sum())
+    assoc_a = float(w[a_idx, :].sum())
+    assoc_b = float(w[b_idx, :].sum())
+    if assoc_a == 0.0 or assoc_b == 0.0:
+        raise DegenerateInputError("a side has zero association; ncut undefined")
+    return cut / assoc_a + cut / assoc_b
+
+
+def ncut_bipartition(w: np.ndarray) -> Bipartition:
+    """Fiedler split of the connected graph with the dense symmetric
+    affinity matrix ``w``: the normalized Laplacian from dense products, the
+    sweep's cuts from the reordered lower triangle, and the ncut from
+    ``ncut_value``. Ties are broken as in ``lcuts.spectral``."""
+    n = w.shape[0]
+    if n < 2:
+        raise DegenerateInputError("need at least 2 nodes to bipartition")
+    deg = w.sum(axis=1)
+    if not deg.all():
+        raise DegenerateInputError("a node has no edge; the graph is not connected")
+    dinv = 1.0 / np.sqrt(deg)
+    norm_w = w * np.multiply.outer(dinv, dinv)
+    lap = np.eye(n) - norm_w
+    _, vecs = smallest_eigenpairs(lap, 2)
+    x = dinv * vecs[:, 1]
+
+    order = np.argsort(x, kind="stable")
+    ws = w[order][:, order]
+    deg_s = deg[order]
+    cum_deg = np.cumsum(deg_s)
+    total = cum_deg[-1]
+    # within[k]: total weight (both directions) among the first k+1 sorted nodes.
+    row_in = np.tril(ws, -1).sum(axis=1)
+    within = 2.0 * np.cumsum(row_in)
+    assoc_a = cum_deg[:-1]
+    assoc_b = total - assoc_a
+    cut = np.maximum(assoc_a - within[:-1], 0.0)
+    ncuts = cut / assoc_a + cut / assoc_b
+
+    tied = np.flatnonzero(ncuts == ncuts.min()).tolist()
+    if len(tied) > 1:
+        zero = int(np.argmin(order))
+        tied.sort(key=lambda k: (-min(k + 1, n - k - 1),
+                                 sorted((order[: k + 1] if zero <= k else order[k + 1 :]).tolist())))
+    k = tied[0]
+
+    a, b = frozenset(order[: k + 1].tolist()), frozenset(order[k + 1 :].tolist())
+    if min(b) < min(a):
+        a, b = b, a
+    return Bipartition(a, b, ncut_value(w, a, b))
 
 
 # ----------------------------------------------------------------------------

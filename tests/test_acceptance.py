@@ -69,7 +69,9 @@ def test_criterion_01_planted_partition_cuts():
                 w[i, j] = rng.uniform(0.5, 1.0) if same else rng.uniform(0.001, 0.01)
         w = w + w.T
         best, side_a, side_b = brute_min_ncut(w)
-        part = ncut_bipartition(w)
+        # The nonzero entries in row-major order, as SparseGraph.edges lists them.
+        rows, cols = np.nonzero(w)
+        part = ncut_bipartition(n, rows, cols, w[rows, cols])
         if {part.group_a, part.group_b} == {side_a, side_b}:
             exact += 1
         if part.ncut <= 1.05 * best + 1e-15:

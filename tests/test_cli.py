@@ -11,6 +11,7 @@ import pytest
 
 from lcuts import cli
 from lcuts.raster import RasterImage, write_pgm
+from test_io import read_edge_list
 
 
 def run_cli(*args):
@@ -102,16 +103,23 @@ def test_cluster_config_echo(tmp_path):
 
 
 def test_cluster_dump_adjacency(tmp_path):
+    from lcuts.engine import lcuts
+    from lcuts.geometry import read_cloud_csv
+
     spec = tmp_path / "spec.cfg"
     write_spec(spec, dim=2, nRods=2, seed=8)
     run_cli("synth", spec, tmp_path / "two")
     res = run_cli("--quiet", "--dump-adjacency", tmp_path / "w.csv",
                   "cluster", tmp_path / "two.csv", tmp_path / "out.json")
     assert res.returncode == 0
-    w = np.loadtxt(tmp_path / "w.csv", delimiter=",", ndmin=2)
-    n = json.loads((tmp_path / "out.json").read_text())["n"]
-    assert w.shape == (n, n)
-    assert np.array_equal(w, w.T)
+    # One line per stored pair with i < j, in caller ids, as graph.edges() lists them.
+    i, j, w = read_edge_list(tmp_path / "w.csv")
+    cloud, _ = read_cloud_csv(tmp_path / "two.csv")
+    rows, cols, vals = lcuts(cloud).graph.edges()
+    upper = rows < cols
+    assert np.array_equal(i, rows[upper]) and np.array_equal(j, cols[upper])
+    assert w.tobytes() == vals[upper].tobytes()
+    assert j.max() < json.loads((tmp_path / "out.json").read_text())["n"]
 
 
 def test_dump_adjacency_is_the_clustered_matrix(tmp_path):
@@ -127,10 +135,25 @@ def test_dump_adjacency_is_the_clustered_matrix(tmp_path):
                   tmp_path / "found.csv", tmp_path / "out.json", "--image", tmp_path / "img.pgm")
     assert res.returncode == 0
     cloud, _ = read_cloud_csv(tmp_path / "found.csv")
-    used = lcuts(cloud.with_image(read_image(tmp_path / "img.pgm"))).graph.weights
-    dumped = np.array([[float(v) for v in line.split(",")]
-                       for line in (tmp_path / "w.csv").read_text().splitlines()])
-    assert np.array_equal(dumped, used)
+    rows, cols, vals = lcuts(cloud.with_image(read_image(tmp_path / "img.pgm"))).graph.edges()
+    upper = rows < cols
+    i, j, w = read_edge_list(tmp_path / "w.csv")
+    assert np.array_equal(i, rows[upper]) and np.array_equal(j, cols[upper])
+    assert w.tobytes() == vals[upper].tobytes()
+
+
+def test_cluster_refuses_an_oversized_block(tmp_path, monkeypatch, capsys):
+    # A connected block whose Laplacian passes the limit is a computation
+    # error (exit 1) that names the block, not an out-of-memory kill.
+    from lcuts import spectral
+
+    spec = tmp_path / "spec.cfg"
+    write_spec(spec, dim=2, nRods=6, seed=3)
+    assert cli.main(["--quiet", "synth", str(spec), str(tmp_path / "c")]) == 0
+    monkeypatch.setattr(spectral, "MAX_LAPLACIAN_BYTES", 8 * 4 * 4)
+    assert cli.main(["--quiet", "cluster", str(tmp_path / "c.csv"), str(tmp_path / "out.json")]) == 1
+    assert re.search(r"error: a connected block of \d+ nodes needs a", capsys.readouterr().err)
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_evaluate_perfect(tmp_path):

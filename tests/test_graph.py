@@ -238,23 +238,11 @@ def assert_sparse_equals_dense(graph, w, rng):
     entries of the dense matrix."""
     n = len(w)
     assert graph.n == n and graph.weights.tobytes() == w.tobytes()
-    subsets = [[], list(range(n)), rng.permutation(n)]
-    if n:
-        subsets += [[int(rng.integers(n))],
-                    rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)]
-    for ids in subsets:
-        # A list of ids or an array of them, as given.
-        sub = graph.restrict(ids)
-        ids = np.asarray(ids, dtype=np.int64)
-        assert type(sub) is np.ndarray and sub.dtype == np.float64
-        assert sub.shape == (len(ids), len(ids))
-        assert sub.tobytes() == w[np.ix_(ids, ids)].tobytes()
     perm = rng.permutation(n)
     rank = np.argsort(perm)
     moved = graph.permuted(perm)
     assert_canonical(moved)
     assert moved.weights.tobytes() == w[np.ix_(rank, rank)].tobytes()
-    assert b"".join(row.tobytes() for row in graph.rows()) == w.tobytes()
     rows, cols = np.nonzero(w)
     assert ([c.tolist() for c in component_arrays(n, *graph.edges())]
             == [c.tolist() for c in component_arrays(n, rows, cols, w[rows, cols])])

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -202,25 +204,43 @@ def test_write_cloud_csv_requires_cover(tmp_path):
         write_cloud_csv(tmp_path / "x.csv", cloud, [{0}])
 
 
+def read_edge_list(path):
+    """The ``(i, j, w)`` columns of an adjacency dump, after its header."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "i,j,w"
+    fields = [line.split(",") for line in lines[1:]]
+    return (np.array([int(f[0]) for f in fields], dtype=np.int64),
+            np.array([int(f[1]) for f in fields], dtype=np.int64),
+            np.array([float(f[2]) for f in fields]))
+
+
 def test_adjacency_csv_exact(tmp_path):
+    # One line per stored pair with i < j, in the order of graph.edges().
     spec = SynthSpec(dim=2, n_rods=3, seed=21)
     cloud, _ = generate_cloud(spec)
     graph = build_adjacency(cloud, GraphParams())
     path = tmp_path / "w.csv"
     write_adjacency_csv(path, graph)
-    back = np.loadtxt(path, delimiter=",", ndmin=2)
-    assert np.array_equal(back, graph.weights)
+    i, j, w = read_edge_list(path)
+    rows, cols, vals = graph.edges()
+    upper = rows < cols
+    assert upper.sum() == graph.csr.nnz // 2 > 0
+    assert np.array_equal(i, rows[upper]) and np.array_equal(j, cols[upper])
+    assert w.tobytes() == vals[upper].tobytes()
 
 
 def test_adjacency_csv_bytes(tmp_path):
-    # Streamed row by row, the file keeps the bytes of the joined text.
+    # The header, then "i,j,w" with the weight by repr, row-major; an empty
+    # or single-node graph writes the header alone.
     rng = np.random.default_rng(8)
     for n in (0, 1, 2, 7):
         w = np.triu(rng.uniform(0.0, 1.0, size=(n, n)) ** 9, 1)
+        w[rng.random((n, n)) < 0.3] = 0.0
         w = w + w.T
         path = tmp_path / f"w{n}.csv"
         write_adjacency_csv(path, SparseGraph(w))
-        text = "\n".join(",".join(repr(float(v)) for v in row) for row in w) + "\n"
+        text = "i,j,w\n" + "".join(f"{i},{j},{float(w[i, j])!r}\n" for i in range(n)
+                                   for j in range(i + 1, n) if w[i, j])
         assert path.read_bytes() == text.encode("utf-8")
 
 

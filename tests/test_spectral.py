@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,10 +7,11 @@ from scipy import sparse
 
 from lcuts import spectral
 from lcuts.direction import VotingParams, assign_all_directions
-from lcuts.errors import DegenerateInputError, InputError
+from lcuts.errors import DegenerateInputError, InputError, LcutsError
 from lcuts.graph import GraphParams, build_adjacency
-from lcuts.spectral import WEAK_LINK, component_arrays, ncut_bipartition, ncut_value, smallest_eigenpairs
+from lcuts.spectral import WEAK_LINK, component_arrays, ncut_bipartition, smallest_eigenpairs
 import oracles
+from oracles import ncut_value
 from test_acceptance import fuzz_cloud
 
 
@@ -22,6 +24,19 @@ def components(w):
 
 def graph_from(w):
     return np.asarray(w, dtype=np.float64)
+
+
+def split(w):
+    """``ncut_bipartition`` on the nonzero entries of the dense matrix ``w``,
+    listed in row-major order as ``SparseGraph.edges`` lists them."""
+    rows, cols = np.nonzero(w)
+    return ncut_bipartition(len(w), rows, cols, w[rows, cols])
+
+
+# Relative bound on the difference between the sweep's ncut, summed from the
+# edges, and the dense reference's, summed from the rows of the matrix. The
+# largest difference measured on the benchmark inputs is 8.2e-16.
+NCUT_REL = 1e-15
 
 
 def two_cliques(n_a, n_b, intra=0.9, inter=0.0, rng=None):
@@ -160,7 +175,7 @@ def test_smallest_eigenpairs_match_full_solve():
 
 def test_bipartition_needs_two_nodes():
     with pytest.raises(DegenerateInputError):
-        ncut_bipartition(graph_from(np.zeros((1, 1))))
+        split(graph_from(np.zeros((1, 1))))
 
 
 def test_bipartition_raises_on_isolated_node():
@@ -169,7 +184,7 @@ def test_bipartition_raises_on_isolated_node():
     w = np.zeros((3, 3))
     w[1, 2] = w[2, 1] = 0.5
     with pytest.raises(DegenerateInputError):
-        ncut_bipartition(graph_from(w))
+        split(graph_from(w))
 
 
 def test_components_sorted_by_smallest_member():
@@ -259,7 +274,7 @@ def test_bipartition_path_cuts_weak_edge():
     w = np.zeros((3, 3))
     w[0, 1] = w[1, 0] = 1.0
     w[1, 2] = w[2, 1] = 0.1
-    part = ncut_bipartition(graph_from(w))
+    part = split(graph_from(w))
     assert part.group_a == frozenset({0, 1})
     assert part.group_b == frozenset({2})
 
@@ -276,7 +291,7 @@ def test_bipartition_matches_brute_force():
             w[i, j] = w[j, i] = rng.uniform(0.5, 1.0) if same else rng.uniform(0.0, 0.01)
         w[0, n_a] = w[n_a, 0] = max(w[0, n_a], 0.005)  # keep it connected
         g = graph_from(w)
-        part = ncut_bipartition(g)
+        part = split(g)
         best_val, best_side = brute_force_ncut(w)
         got_side = part.group_a if 0 in part.group_a else part.group_b
         assert got_side == best_side
@@ -290,13 +305,13 @@ def test_bipartition_breaks_sweep_ties_by_balance_then_ids(monkeypatch):
     # side of node 0, then the lowest; the sweep order is read back from the
     # eigenvector the solver returned.
     solved = []
-    solve = spectral.smallest_eigenpairs
+    solve = spectral._lowest_eigenpairs
 
     def recording(matrix, k):
         solved.append(solve(matrix, k))
         return solved[-1]
 
-    monkeypatch.setattr(spectral, "smallest_eigenpairs", recording)
+    monkeypatch.setattr(spectral, "_lowest_eigenpairs", recording)
     rng = np.random.default_rng(31)
     broken = 0
     for n in range(3, 11):
@@ -305,7 +320,7 @@ def test_bipartition_breaks_sweep_ties_by_balance_then_ids(monkeypatch):
         for w in (1.0 - np.eye(n), cycle + cycle.T):
             perm = rng.permutation(n)
             w = w[np.ix_(perm, perm)]
-            part = ncut_bipartition(w)
+            part = split(w)
             deg = w.sum(axis=1)
             order = np.argsort(1.0 / np.sqrt(deg) * solved[-1][1][:, 1], kind="stable")
             ncuts = [ncut_value(w, order[: k + 1], order[k + 1 :]) for k in range(n - 1)]
@@ -333,21 +348,85 @@ def test_bipartition_scale_invariant_and_deterministic():
         w[i + 1, i] = w[i, i + 1]
     g1 = graph_from(w)
     g2 = graph_from(0.5 * w)
-    p1 = ncut_bipartition(g1)
-    p2 = ncut_bipartition(g2)
+    p1 = split(g1)
+    p2 = split(g2)
     assert p1.group_a == p2.group_a and p1.group_b == p2.group_b
     assert p1.ncut == pytest.approx(p2.ncut, abs=1e-12)
-    again = ncut_bipartition(g1)
+    again = split(g1)
     assert again.group_a == p1.group_a and again.ncut == p1.ncut
 
 
 def test_bipartition_ncut_matches_ncut_value():
+    # The ncut sums the crossing edges and the degrees of the edge list;
+    # the dense reference sums rows of the matrix, in another order.
     rng = np.random.default_rng(55)
     w = np.triu(rng.uniform(0.1, 1.0, size=(10, 10)), 1)
     w = w + w.T
     g = graph_from(w)
-    part = ncut_bipartition(g)
-    assert part.ncut == ncut_value(g, part.group_a, part.group_b)
+    part = split(g)
+    want = ncut_value(g, part.group_a, part.group_b)
+    assert abs(part.ncut - want) <= NCUT_REL * want
+
+
+def assert_equals_dense_reference(w):
+    """The split of ``w`` equals the dense reference's split, and its ncut
+    agrees within NCUT_REL."""
+    got, want = split(w), oracles.ncut_bipartition(w)
+    assert {got.group_a, got.group_b} == {want.group_a, want.group_b}
+    assert abs(got.ncut - want.ncut) <= NCUT_REL * want.ncut
+
+
+def test_bipartition_equals_dense_reference():
+    # Random connected graphs of several densities and weight spreads, and
+    # the complete graphs and cycles of the tie test.
+    rng = np.random.default_rng(23)
+    for t in range(300):
+        n = int(rng.integers(2, 60))
+        w = rng.uniform(0.0, 1.0, size=(n, n)) ** int(rng.integers(1, 12))
+        w[rng.random((n, n)) < rng.uniform(0.0, 0.9)] = 0.0
+        path = rng.permutation(n)
+        w[path[:-1], path[1:]] = rng.uniform(1e-3, 1.0, n - 1)  # a path keeps it connected
+        w = np.maximum(w, w.T)
+        np.fill_diagonal(w, 0.0)
+        assert_equals_dense_reference(w)
+    for n in range(3, 11):
+        cycle = np.zeros((n, n))
+        cycle[np.arange(n), (np.arange(n) + 1) % n] = 1.0
+        for w in (1.0 - np.eye(n), cycle + cycle.T):
+            perm = rng.permutation(n)
+            assert_equals_dense_reference(w[np.ix_(perm, perm)])
+
+
+def test_bipartition_refuses_an_oversized_block(monkeypatch):
+    # A block whose Laplacian would pass the limit raises before anything
+    # is built; one at the limit is split.
+    w = two_cliques(3, 3, inter=0.1)
+    monkeypatch.setattr(spectral, "MAX_LAPLACIAN_BYTES", 8 * 6 * 6 - 1)
+    with pytest.raises(LcutsError, match="block of 6 nodes"):
+        split(w)
+    monkeypatch.setattr(spectral, "MAX_LAPLACIAN_BYTES", 8 * 6 * 6)
+    assert split(w).group_a == frozenset(range(3))
+
+
+def test_bipartition_memory_is_one_laplacian():
+    # The normalized Laplacian, solved in place, is the only n x n array.
+    n = 1500
+    rng = np.random.default_rng(4)
+    rows, cols = np.nonzero(np.triu(rng.random((n, n)) < 0.01, 1))
+    path = rng.permutation(n)
+    rows, cols = np.concatenate((rows, path[:-1])), np.concatenate((cols, path[1:]))
+    key = np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols))
+    rows, cols = key // n, key % n
+    vals = rng.uniform(0.1, 1.0, rows.size)
+    rows, cols, vals = np.concatenate((rows, cols)), np.concatenate((cols, rows)), np.tile(vals, 2)
+    ncut_bipartition(n, rows, cols, vals)  # loads the LAPACK routine outside the trace
+    tracemalloc.start()
+    try:
+        ncut_bipartition(n, rows, cols, vals)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * n * n
 
 
 def test_normalized_laplacian_spectrum_bounds():

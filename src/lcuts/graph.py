@@ -41,6 +41,9 @@ from .raster import RasterImage, bilinear_sample
 # to within 1 % of that difference. The samples grow as 1 / step: a 60 px
 # segment takes 6,001 here, and 6e13 (480 TB of float64) at a step of 1e-12.
 MIN_SAMPLING_STEP = 0.01
+# Samples that segment_min_intensity takes at once. Each needs about 170
+# bytes of temporaries, so a block peaks near 2.7 MiB.
+SAMPLE_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -154,19 +157,34 @@ def segment_min_intensity(image: RasterImage, p: np.ndarray, q: np.ndarray,
     """Minimum bilinear sample along each straight segment p[k] -> q[k].
 
     ``p`` and ``q`` are (K, 2) endpoint arrays; returns the K minima. Samples
-    are evenly spaced, at most ``step`` apart, endpoints included. Segments
-    with the same sample count are sampled together.
+    are evenly spaced, at most ``step`` apart, endpoints included: sample j
+    of a segment with ``count`` samples sits at ``t = j * (1 / (count - 1))``,
+    and the last at ``t = 1``, as ``np.linspace(0, 1, count)`` places them.
+    The samples of all segments are taken in one pass over their
+    concatenation, ``SAMPLE_BLOCK`` at a time, so memory stays bounded
+    however many samples there are.
     """
     seg = q - p
     length = np.sqrt((seg * seg).sum(axis=-1))
     counts = np.maximum(2, np.ceil(length / step).astype(np.int64) + 1)
-    mins = np.empty(len(counts))
-    for count in np.unique(counts):
-        sel = np.nonzero(counts == count)[0]
-        ts = np.linspace(0.0, 1.0, int(count))
-        pts = p[sel, None, :] + ts[None, :, None] * seg[sel, None, :]
-        vals = bilinear_sample(image, pts[..., 0].ravel(), pts[..., 1].ravel())
-        mins[sel] = vals.reshape(len(sel), int(count)).min(axis=1)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    total = int(counts.sum())
+    spacing = 1.0 / (counts - 1)
+    mins = np.full(len(counts), np.inf)
+    for b0 in range(0, total, SAMPLE_BLOCK):
+        b1 = min(b0 + SAMPLE_BLOCK, total)
+        # Segments s0 .. s1 - 1 have samples in [b0, b1).
+        s0 = int(np.searchsorted(ends, b0, side="right"))
+        s1 = int(np.searchsorted(starts, b1, side="left"))
+        first = np.maximum(starts[s0:s1], b0) - b0
+        owner = np.repeat(np.arange(s0, s1), np.diff(np.append(first, b1 - b0)))
+        j = np.arange(b0, b1) - starts[owner]
+        t = j * spacing[owner]
+        t[j == counts[owner] - 1] = 1.0
+        vals = bilinear_sample(image, p[owner, 0] + t * seg[owner, 0],
+                               p[owner, 1] + t * seg[owner, 1])
+        np.minimum(mins[s0:s1], np.minimum.reduceat(vals, first), out=mins[s0:s1])
     return mins
 
 

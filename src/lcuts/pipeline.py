@@ -14,12 +14,21 @@ folded over the row offsets that use it. Min and max never round, so this
 equals the 2-D footprint filter bit for bit. Pruning finds close detections
 with the cell grid of ``radius_pairs`` rather than comparing every pair.
 
+The smoothing, the opening and the maxima each read only rows near the row
+they compute, so each runs on one band of rows per available CPU, in
+threads, with bands that overlap by the rows the filter reads
+(``_row_bands``). Every kept row reads the same pixels as in the whole
+image and takes the same arithmetic, so the result does not depend on the
+number of CPUs. A plateau's first pixel is found by one comparison per
+earlier window offset over all candidates, not by a loop over them.
+
 ``scipy.ndimage`` is loaded by the first filter that runs, so importing this
 module, as every ``lcuts`` command does, does not load it.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,17 +39,21 @@ from .raster import RasterImage, bilinear_sample
 
 # scipy.ndimage is imported inside gaussian_filter, _open_disk and
 # find_local_maxima, not here: loading it costs about 50 ms and pulls in
-# scipy.special, and only the extract command runs these filters.
+# scipy.special, and only the extract command runs these filters. The
+# thread pool of _row_bands is imported there for the same reason.
 
 
 # Largest accepted background radius, in pixels. The opening costs time in
-# proportion to the radius times the padded image: about 11 s on a 699 x 699
-# image at this bound (one core), and 0.12 s at the default of 15 px.
+# proportion to the radius times the padded image. On a 699 x 699 image with
+# 2 CPUs it takes about 2.6 s and 22 MiB of temporaries at this bound, where
+# the image is too short for two row bands, and 0.027 s at the default of
+# 15 px.
 MAX_BACKGROUND_RADIUS = 500.0
 # Largest accepted smoothing scale, in pixels. The kernel has 6 sigma + 1
-# taps, so the filter costs time in proportion to sigma times the image:
-# about 0.3 s on a 699 x 699 image at this bound (one core), and 0.02 s at
-# the default of 1.5 px. A ridge a few pixels wide is gone long before it.
+# taps, so the filter costs time in proportion to sigma times the image. On
+# a 699 x 699 image with 2 CPUs it takes about 0.2 s at this bound, in one
+# band, and 0.006 s at the default of 1.5 px. A ridge a few pixels wide is
+# gone long before it.
 MAX_GAUSSIAN_SIGMA = 100.0
 
 
@@ -76,6 +89,54 @@ class PipelineParams:
                 raise InputError(f"{key} must be finite and >= 0, got {value}")
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has affinity masks
+        return os.cpu_count() or 1
+
+
+def _row_bands(filt, pixels: np.ndarray, reach: int, dtype=np.float64) -> np.ndarray:
+    """The output of a filter whose row y reads only the input rows within
+    ``reach`` of y, computed on one row band per available CPU.
+
+    ``filt(rows, keep, out)`` filters the run of image rows ``rows``, with
+    mirror borders at its ends, and writes its output rows ``keep`` (a
+    slice) to ``out``, an array of ``dtype``. Each band keeps a run of
+    output rows and passes them together with up to ``reach`` more rows on
+    each side, so every row it keeps reads the same rows as in the whole
+    image and comes out the same bit for bit. A band keeps at least
+    2 ``reach`` rows, so no band reads more rows than the image has; an
+    image too short for two bands is one call, with no thread. Worker
+    threads run every band but the first, which the calling thread runs,
+    and every band writes to its rows of one output array. The
+    scipy.ndimage filters and the numpy ufuncs release the interpreter
+    lock, so the bands run in parallel. An exception in any band reaches
+    the caller once every band has ended.
+    """
+    n = pixels.shape[0]
+    count = min(_cpus(), n // max(2 * reach, 1))
+    out = np.empty(pixels.shape, dtype)
+    if count < 2:
+        filt(pixels, slice(None), out)
+        return out
+    from concurrent.futures import ThreadPoolExecutor
+    edges = [n * k // count for k in range(count + 1)]
+
+    def band(k: int) -> None:
+        a, b = edges[k], edges[k + 1]
+        lo, hi = max(a - reach, 0), min(b + reach, n)
+        filt(pixels[lo:hi], slice(a - lo, b - lo), out[a:b])
+
+    with ThreadPoolExecutor(count - 1) as pool:
+        futures = [pool.submit(band, k) for k in range(1, count)]
+        band(0)
+    for future in futures:
+        future.result()
+    return out
+
+
 def gaussian_kernel(sigma: float) -> np.ndarray:
     """1-D Gaussian taps truncated at +-3 sigma and renormalized to sum 1."""
     radius = int(np.ceil(3.0 * sigma))
@@ -91,9 +152,13 @@ def gaussian_filter(img: RasterImage, sigma: float) -> RasterImage:
         raise InputError(f"sigma must be > 0 and <= {MAX_GAUSSIAN_SIGMA:g}, got {sigma}")
     from scipy import ndimage
     kernel = gaussian_kernel(sigma)
-    out = ndimage.correlate1d(img.pixels, kernel, axis=1, mode="mirror")
-    out = ndimage.correlate1d(out, kernel, axis=0, mode="mirror")
-    return RasterImage(np.clip(out, 0.0, 1.0))
+
+    def smooth(rows: np.ndarray, keep: slice, out: np.ndarray) -> None:
+        across = ndimage.correlate1d(rows, kernel, axis=1, mode="mirror")
+        smoothed = ndimage.correlate1d(across, kernel, axis=0, mode="mirror")
+        np.clip(smoothed[keep], 0.0, 1.0, out=out)
+
+    return RasterImage(_row_bands(smooth, img.pixels, len(kernel) // 2))
 
 
 def _disk_half_widths(radius: float) -> np.ndarray:
@@ -114,37 +179,67 @@ def _disk_half_widths(radius: float) -> np.ndarray:
     return h
 
 
-def _disk_rank(pixels: np.ndarray, half: np.ndarray, filter1d, fold) -> np.ndarray:
+def _disk_rank(pixels: np.ndarray, half: np.ndarray, filter1d, fold,
+               keep: slice = slice(None), out: np.ndarray | None = None) -> np.ndarray:
     """Min (``minimum_filter1d``, ``np.minimum``) or max (the max pair) of
     ``pixels`` over the odd, symmetric footprint whose row k, at row offset
-    k - r, is the centered segment ``|dx| <= half[k]``, with mirror borders.
+    k - r, is the centered segment ``|dx| <= half[k]``, with mirror borders,
+    at the output rows ``keep`` (every row by default); written to ``out``
+    when it is given.
 
     The result at (y, x) folds over k the 1-D filter of width
-    2 half[k] + 1 at row mirror(y + k - r). The rows are mirror-padded
-    once (numpy's "reflect" is ndimage's "mirror", d c b | a b c d | c b a,
-    also for pads longer than the axis); each distinct width is filtered
-    once and its rows are folded in as slices.
+    2 half[k] + 1 at row mirror(y + k - r). For each distinct width, the
+    rows of ``pixels`` that the kept rows read are filtered once into a
+    buffer of the rows start - r .. stop + r - 1; its rows past an end of
+    ``pixels`` are copies of the filtered rows they mirror (numpy's
+    "reflect" is ndimage's "mirror", d c b | a b c d | c b a, also for
+    reflections longer than the axis). Each row offset then folds in one
+    slice of the buffer.
     """
     r = len(half) // 2
     n = pixels.shape[0]
-    padded = np.pad(pixels, ((r, r), (0, 0)), mode="reflect")
-    rows = np.empty_like(padded)
-    out = None
+    start, stop, _ = keep.indices(n)
+    read = np.arange(start - r, stop + r)
+    lo, hi = max(start - r, 0), min(stop + r, n)
+    inside = slice(lo - read[0], hi - read[0])
+    period = max(2 * (n - 1), 1)
+    mirrored = np.abs(read) % period
+    mirrored = np.where(mirrored < n, mirrored, period - mirrored)
+    past = np.flatnonzero((read < 0) | (read >= n))
+    rows = np.empty((len(read), pixels.shape[1]))
+    if out is None:
+        out = np.empty((stop - start, pixels.shape[1]))
+    folded = False
     for h in np.unique(half):
-        filter1d(padded, 2 * int(h) + 1, axis=1, output=rows, mode="mirror")
+        filter1d(pixels[lo:hi], 2 * int(h) + 1, axis=1, output=rows[inside], mode="mirror")
+        rows[past] = rows[mirrored[past] - read[0]]
         for k in np.flatnonzero(half == h):
-            band = rows[k : k + n]
-            out = band.copy() if out is None else fold(out, band, out=out)
+            band = rows[k : k + stop - start]
+            if folded:
+                fold(out, band, out=out)
+            else:
+                out[...] = band
+                folded = True
     return out
 
 
-def _open_disk(pixels: np.ndarray, radius: float) -> np.ndarray:
-    """Grayscale opening by the disk of ``radius`` with mirror borders."""
+def _open_disk(pixels: np.ndarray, radius: float, keep: slice = slice(None),
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Grayscale opening by the disk of ``radius`` with mirror borders, at
+    the output rows ``keep`` (every row by default); written to ``out``
+    when it is given."""
     from scipy import ndimage
     half = _disk_half_widths(radius)
-    eroded = _disk_rank(pixels, half, ndimage.minimum_filter1d, np.minimum)
+    r = len(half) // 2
+    start, stop, _ = keep.indices(pixels.shape[0])
+    # The dilation of the kept rows reads the eroded rows within r of them;
+    # past an end of ``pixels`` it reads their mirror image, which is the
+    # erosion of the mirror image, since the disk is symmetric.
+    lo, hi = max(start - r, 0), min(stop + r, pixels.shape[0])
+    eroded = _disk_rank(pixels, half, ndimage.minimum_filter1d, np.minimum, slice(lo, hi))
     # The disk is its own reflection, so the dilation needs no flipped footprint.
-    return _disk_rank(eroded, half, ndimage.maximum_filter1d, np.maximum)
+    return _disk_rank(eroded, half, ndimage.maximum_filter1d, np.maximum,
+                      slice(start - lo, stop - lo), out)
 
 
 def subtract_background(img: RasterImage, radius: float) -> RasterImage:
@@ -158,11 +253,19 @@ def subtract_background(img: RasterImage, radius: float) -> RasterImage:
     """
     if not 0 < radius <= MAX_BACKGROUND_RADIUS:
         raise InputError(f"radius must be > 0 and <= {MAX_BACKGROUND_RADIUS:g}, got {radius}")
-    return RasterImage(np.clip(img.pixels - _open_disk(img.pixels, radius), 0.0, 1.0))
+
+    def flatten(rows: np.ndarray, keep: slice, out: np.ndarray) -> None:
+        _open_disk(rows, radius, keep, out)
+        np.subtract(rows[keep], out, out=out)
+        np.clip(out, 0.0, 1.0, out=out)
+
+    # The erosion and then the dilation each read floor(radius) rows away.
+    return RasterImage(_row_bands(flatten, img.pixels, 2 * int(np.floor(radius))))
 
 
 def find_local_maxima(img: RasterImage, window: int, floor: float) -> list[np.ndarray]:
-    """Pixel-center coordinates (x, y) of strict windowed maxima above ``floor``.
+    """Pixel-center coordinates (x, y) of strict windowed maxima above ``floor``,
+    in row-major order.
 
     A plateau inside one window emits only its lexicographically smallest
     pixel (row-major order), so flat crests do not flood the output.
@@ -170,24 +273,28 @@ def find_local_maxima(img: RasterImage, window: int, floor: float) -> list[np.nd
     if window < 1 or window % 2 == 0:
         raise InputError(f"window must be odd and >= 1, got {window}")
     from scipy import ndimage
-    arr = img.pixels
-    h, w = arr.shape
-    # cvals outside the valid range so borders compare only against real pixels
-    neighborhood_max = ndimage.maximum_filter(arr, size=window, mode="constant", cval=-1.0)
-    neighborhood_min = ndimage.minimum_filter(arr, size=window, mode="constant", cval=2.0)
-    # a crest must rise above something nearby; constant regions are not maxima
-    cand = np.argwhere((arr >= neighborhood_max) & (arr > neighborhood_min) & (arr > floor))
     half = window // 2
-    points: list[np.ndarray] = []
-    for iy, ix in cand:
-        val = arr[iy, ix]
-        y0, y1 = max(iy - half, 0), min(iy + half + 1, h)
-        x0, x1 = max(ix - half, 0), min(ix + half + 1, w)
-        tie_rows, tie_cols = np.nonzero(arr[y0:y1, x0:x1] == val)
-        first = (int(tie_rows[0]) + y0, int(tie_cols[0]) + x0)
-        if first == (int(iy), int(ix)):
-            points.append(np.array([float(ix), float(iy)]))
-    return points
+    # The window offsets that come before its center in row-major order.
+    dy, dx = np.mgrid[-half : half + 1, -half : half + 1].reshape(2, -1)[:, : window * window // 2]
+
+    def maxima(arr: np.ndarray, keep: slice, out: np.ndarray) -> None:
+        h, w = arr.shape
+        # cvals outside the valid range so borders compare only against real pixels
+        neighborhood_max = ndimage.maximum_filter(arr, size=window, mode="constant", cval=-1.0)
+        neighborhood_min = ndimage.minimum_filter(arr, size=window, mode="constant", cval=2.0)
+        # a crest must rise above something nearby; constant regions are not maxima
+        iy, ix = np.nonzero((arr >= neighborhood_max) & (arr > neighborhood_min) & (arr > floor))
+        # A candidate is a plateau's first pixel when no earlier pixel of its
+        # window holds the same value.
+        ny, nx = iy[:, None] + dy, ix[:, None] + dx
+        inside = (ny >= 0) & (nx >= 0) & (nx < w)
+        tie = inside & (arr[ny.clip(0), nx.clip(0, w - 1)] == arr[iy, ix][:, None])
+        found = np.zeros((h, w), dtype=bool)
+        found[iy, ix] = ~tie.any(axis=1)
+        out[...] = found[keep]
+
+    found = np.argwhere(_row_bands(maxima, img.pixels, half, dtype=bool))
+    return list(found[:, ::-1].astype(np.float64))
 
 
 def prune_nodes(points: list[np.ndarray], img: RasterImage, params: PipelineParams) -> PointCloud:

@@ -68,6 +68,23 @@ def segment_min_scalar(image: RasterImage, p, q, step: float) -> float:
     return float(bilinear_sample(image, pts[:, 0], pts[:, 1]).min())
 
 
+def segment_min_by_count(image: RasterImage, p: np.ndarray, q: np.ndarray,
+                         step: float) -> np.ndarray:
+    """``lcuts.graph.segment_min_intensity`` as a loop over the distinct
+    sample counts, sampling all segments of one count at once."""
+    seg = q - p
+    length = np.sqrt((seg * seg).sum(axis=-1))
+    counts = np.maximum(2, np.ceil(length / step).astype(np.int64) + 1)
+    mins = np.empty(len(counts))
+    for count in np.unique(counts):
+        sel = np.nonzero(counts == count)[0]
+        ts = np.linspace(0.0, 1.0, int(count))
+        pts = p[sel, None, :] + ts[None, :, None] * seg[sel, None, :]
+        vals = bilinear_sample(image, pts[..., 0].ravel(), pts[..., 1].ravel())
+        mins[sel] = vals.reshape(len(sel), int(count)).min(axis=1)
+    return mins
+
+
 def weight_intensity(cloud: PointCloud, i: int, j: int, thresh: float,
                      params: GraphParams) -> float:
     """Intensity factor for the node pair (i, j) against the bound image.
@@ -181,6 +198,37 @@ def estimate_direction(cloud: PointCloud, center: int, nbhd: Neighborhood,
     locs = cloud.locs()
     members = _location_order(locs, sorted(nbhd.members))
     return _vote(locs, center, members, params.rel_bins)
+
+
+# ----------------------------------------------------------------------------
+# Windowed maxima with the plateau rule tested one candidate at a time
+
+
+def local_maxima_by_candidate(img: RasterImage, window: int, floor: float) -> list[np.ndarray]:
+    """``lcuts.pipeline.find_local_maxima`` with the plateau rule written as
+    a loop over the candidates: each finds the ties in its window and is
+    kept when it is the first of them in row-major order."""
+    if window < 1 or window % 2 == 0:
+        raise InputError(f"window must be odd and >= 1, got {window}")
+    from scipy import ndimage
+    arr = img.pixels
+    h, w = arr.shape
+    # cvals outside the valid range so borders compare only against real pixels
+    neighborhood_max = ndimage.maximum_filter(arr, size=window, mode="constant", cval=-1.0)
+    neighborhood_min = ndimage.minimum_filter(arr, size=window, mode="constant", cval=2.0)
+    # a crest must rise above something nearby; constant regions are not maxima
+    cand = np.argwhere((arr >= neighborhood_max) & (arr > neighborhood_min) & (arr > floor))
+    half = window // 2
+    points: list[np.ndarray] = []
+    for iy, ix in cand:
+        val = arr[iy, ix]
+        y0, y1 = max(iy - half, 0), min(iy + half + 1, h)
+        x0, x1 = max(ix - half, 0), min(ix + half + 1, w)
+        tie_rows, tie_cols = np.nonzero(arr[y0:y1, x0:x1] == val)
+        first = (int(tie_rows[0]) + y0, int(tie_cols[0]) + x0)
+        if first == (int(iy), int(ix)):
+            points.append(np.array([float(ix), float(iy)]))
+    return points
 
 
 # ----------------------------------------------------------------------------

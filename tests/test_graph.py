@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,13 +7,13 @@ import pytest
 from lcuts.direction import VotingParams, assign_all_directions
 from lcuts.errors import InputError, MissingDataError
 from lcuts.geometry import Node, PointCloud
-from lcuts.graph import (MIN_SAMPLING_STEP, GraphParams, SparseGraph, _canonical, build_adjacency,
-                         intensity_threshold, segment_min_intensity)
+from lcuts.graph import (MIN_SAMPLING_STEP, SAMPLE_BLOCK, GraphParams, SparseGraph, _canonical,
+                         build_adjacency, intensity_threshold, segment_min_intensity)
 from lcuts.raster import RasterImage, bilinear_sample
 from lcuts.spectral import component_arrays
 from lcuts.synth import SynthSpec, generate_cloud, generate_image
-from oracles import (canonical_csr, hop_neighborhood, pairwise_distance, segment_min_scalar,
-                     weight_direction, weight_distance, weight_intensity)
+from oracles import (canonical_csr, hop_neighborhood, pairwise_distance, segment_min_by_count,
+                     segment_min_scalar, weight_direction, weight_distance, weight_intensity)
 from scipy import sparse
 from test_acceptance import fuzz_cloud
 
@@ -114,7 +115,9 @@ def test_segment_min_intensity_matches_scalar_oracle():
     # the batched sampler must reproduce the one-segment oracle bit for bit
     rng = np.random.default_rng(17)
     h, w = 23, 31
-    img = RasterImage(rng.uniform(0.0, 1.0, size=(h, w)))
+    px = rng.uniform(0.0, 1.0, size=(h, w))
+    px[-1, -1] = 0.0  # the darkest pixel: a segment ending there has its minimum at t = 1
+    img = RasterImage(px)
     hi = np.array([w - 1.0, h - 1.0])
     p = rng.uniform(0.0, hi, size=(400, 2))
     q = rng.uniform(0.0, hi, size=(400, 2))
@@ -130,13 +133,42 @@ def test_segment_min_intensity_matches_scalar_oracle():
     q[130:190] = p[130:190] + k * np.array([1.5, 2.0])
     q[190:200] = p[190:200] + k[:10] * np.array([0.5, 0.0])
     p[200:400:2], q[200:400:2] = q[200:400:2].copy(), p[200:400:2].copy()
+    # a run of 40 equal 30 px segments: 3,001 samples each at a step of
+    # 0.01 px, which spans several sample blocks
+    run = np.column_stack([np.zeros(40), rng.integers(0, h, size=40)])
+    # from near the origin to the dark far corner: the last sample lands
+    # on it only at t = 1 exactly, not at (count - 1) * (1 / (count - 1))
+    near = rng.uniform(0.0, 1.0, size=(20, 2))
+    p = np.concatenate([p, run, near])
+    q = np.concatenate([q, run + np.array([30.0, 0.0]), np.broadcast_to(hi, near.shape)])
     assert (p >= 0).all() and (q >= 0).all() and (p <= hi).all() and (q <= hi).all()
-    for step in (0.5, 0.25, 0.3, 1.0, 7.0):
+    assert 40 * 3001 > 5 * SAMPLE_BLOCK
+    for step in (0.5, 0.25, 0.3, 1.0, 7.0, 0.01):
         got = segment_min_intensity(img, p, q, step)
         expected = [segment_min_scalar(img, a, b, step) for a, b in zip(p, q)]
         assert got.shape == (len(p),)
         assert (got == np.array(expected)).all(), step
+        assert (got == segment_min_by_count(img, p, q, step)).all(), step
     assert segment_min_intensity(img, np.zeros((0, 2)), np.zeros((0, 2)), 0.5).shape == (0,)
+
+
+def test_segment_min_intensity_memory_is_bounded():
+    # 400 segments of 60 px from integer pixels, as extracted nodes give:
+    # 6,001 samples each at the smallest step, 2.4 million in all. Sampling
+    # them all at once takes about 330 MiB; the blocked pass stays under
+    # a few MiB.
+    rng = np.random.default_rng(23)
+    img = RasterImage(rng.uniform(0.0, 1.0, size=(40, 80)))
+    p = np.column_stack([np.arange(400) % 10, np.arange(400) // 10]).astype(np.float64)
+    q = p + np.array([60.0, 0.0])
+    tracemalloc.start()
+    try:
+        got = segment_min_intensity(img, p, q, MIN_SAMPLING_STEP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+    assert (got[:20] == segment_min_by_count(img, p[:20], q[:20], MIN_SAMPLING_STEP)).all()
 
 
 def test_build_adjacency_zero_beyond_cutoff():

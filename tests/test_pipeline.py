@@ -1,12 +1,15 @@
+import threading
+
 import numpy as np
 import pytest
+from oracles import local_maxima_by_candidate
 from scipy import ndimage
 
 from lcuts import cli, pipeline
 from lcuts.errors import InputError
 from lcuts.pipeline import (MAX_BACKGROUND_RADIUS, MAX_GAUSSIAN_SIGMA, PipelineParams,
-                            _disk_half_widths, _disk_rank, _open_disk, extract_nodes, find_local_maxima,
-                            gaussian_filter, gaussian_kernel, prune_nodes,
+                            _disk_half_widths, _disk_rank, _open_disk, extract_nodes,
+                            find_local_maxima, gaussian_filter, gaussian_kernel, prune_nodes,
                             subtract_background)
 from lcuts.raster import RasterImage, bilinear_sample
 from lcuts.synth import SynthSpec, generate_image, segment_distance, _place_rods
@@ -161,7 +164,11 @@ def test_cli_extract_bytes_match_footprint_opening(tmp_path, monkeypatch):
     spec.write_text("dim = 2\nnRods = 20\ncrossings = 5\nintensityValley = 0.7\nseed = 11\n")
     assert cli.main(["--quiet", "synth", str(spec), str(tmp_path / "img")]) == 0
     assert cli.main(["--quiet", "extract", str(tmp_path / "img.pgm"), str(tmp_path / "fast.csv")]) == 0
-    monkeypatch.setattr(pipeline, "_open_disk", footprint_opening)
+
+    def opening(pixels, radius, keep, out):
+        out[...] = footprint_opening(pixels, radius)[keep]
+
+    monkeypatch.setattr(pipeline, "_open_disk", opening)
     assert cli.main(["--quiet", "extract", str(tmp_path / "img.pgm"), str(tmp_path / "ref.csv")]) == 0
     fast = (tmp_path / "fast.csv").read_bytes()
     assert fast == (tmp_path / "ref.csv").read_bytes()
@@ -198,26 +205,89 @@ def test_find_local_maxima_plateau_emits_once():
     assert len(pts) == 1 and pts[0].tolist() == [4.0, 5.0]
 
 
-def test_find_local_maxima_vs_exhaustive_scan():
-    rng = np.random.default_rng(14)
-    px = rng.uniform(0.0, 1.0, size=(18, 22))
-    window, floor = 3, 0.05
-    got = {tuple(p.tolist()) for p in find_local_maxima(RasterImage(px), window, floor)}
-    expected = set()
-    h, w = px.shape
-    for iy in range(h):
-        for ix in range(w):
-            y0, y1 = max(iy - 1, 0), min(iy + 2, h)
-            x0, x1 = max(ix - 1, 0), min(ix + 2, w)
-            block = px[y0:y1, x0:x1]
-            v = px[iy, ix]
-            if v <= floor or v < block.max() or v == block.min():
-                continue
-            ties = np.argwhere(block == v)
-            fy, fx = ties[0]
-            if (fy + y0, fx + x0) == (iy, ix):
-                expected.add((float(ix), float(iy)))
-    assert got == expected
+@pytest.mark.parametrize("window", [1, 3, 5, 7])
+def test_find_local_maxima_vs_exhaustive_scan(window):
+    rng = np.random.default_rng(14 + window)
+    floor, half = 0.05, window // 2
+    images = [rng.uniform(0.0, 1.0, size=(18, 22)),
+              np.round(rng.uniform(0.0, 1.0, size=(21, 17)) * 4.0) / 4.0]  # quantised: many ties
+    plateaus = np.round(rng.uniform(0.0, 0.5, size=(16, 19)) * 4.0) / 4.0
+    plateaus[0, 3:9] = plateaus[5:12, -1] = plateaus[-1, :4] = plateaus[:3, 0] = 0.9  # on the border
+    images.append(plateaus)
+    for px in images:
+        got = find_local_maxima(RasterImage(px), window, floor)
+        assert [p.tolist() for p in got] == [p.tolist() for p in
+                                            local_maxima_by_candidate(RasterImage(px), window, floor)]
+        expected = set()
+        h, w = px.shape
+        for iy in range(h):
+            for ix in range(w):
+                y0, y1 = max(iy - half, 0), min(iy + half + 1, h)
+                x0, x1 = max(ix - half, 0), min(ix + half + 1, w)
+                block = px[y0:y1, x0:x1]
+                v = px[iy, ix]
+                if v <= floor or v < block.max() or v == block.min():
+                    continue
+                ties = np.argwhere(block == v)
+                fy, fx = ties[0]
+                if (fy + y0, fx + x0) == (iy, ix):
+                    expected.add((float(ix), float(iy)))
+        assert {tuple(p.tolist()) for p in got} == expected
+        assert window == 1 or expected
+
+
+@pytest.mark.parametrize("bands", [2, 3, 7])
+def test_row_bands_match_one_band(bands, monkeypatch):
+    """Each filter gives the same bits on any number of row bands as on one:
+    on random and quantised images, just short of and just tall enough for
+    two bands (4 reach rows), on taller ones, and at the largest sigma and
+    radius."""
+    rng = np.random.default_rng(bands)
+    # (sigma, radius, window), reaching ceil(3 sigma), 2 floor(radius) and
+    # window // 2 rows, on images of these heights and width.
+    cases = [((1.5, 3.5, 3), (3, 4, 19, 20, 23, 24, 170), 23),
+             ((0.4, 1.0, 5), (7, 8, 61), 9),
+             ((MAX_GAUSSIAN_SIGMA, 0.5, 1), (1199, 1200), 4)]
+    if bands == 2:
+        # Any band count splits these rows into two bands at a reach of 1,000.
+        cases.append(((0.5, MAX_BACKGROUND_RADIUS, 7), (4000,), 1))
+    for (sigma, radius, window), heights, width in cases:
+        for height in heights:
+            px = rng.uniform(0.0, 1.0, size=(height, width))
+            images = [RasterImage(px), RasterImage(np.round(px * 4.0) / 4.0)]
+            for img in images[: 1 if radius == MAX_BACKGROUND_RADIUS else 2]:
+                runs = []
+                for cpus in (1, bands):
+                    monkeypatch.setattr(pipeline, "_cpus", lambda: cpus)
+                    runs.append((gaussian_filter(img, sigma).pixels,
+                                 subtract_background(img, radius).pixels,
+                                 np.array(find_local_maxima(img, window, 0.3))))
+                for one, many in zip(*runs):
+                    assert one.shape == many.shape and np.array_equal(one, many), (
+                        sigma, radius, window, height)
+
+    # One band per CPU, each keeping at least 2 reach rows; the kept rows
+    # tile the image.
+    calls = []
+
+    def spy(rows, keep, out):
+        calls.append(len(out))
+        out[...] = rows[keep]
+
+    pixels = np.arange(50.0)[:, None]
+    for reach, count in ((3, min(bands, 8)), (12, 2), (13, 1), (0, bands)):
+        calls.clear()
+        assert np.array_equal(pipeline._row_bands(spy, pixels, reach), pixels)
+        assert len(calls) == count and min(calls) >= 2 * reach
+
+    # An exception in a worker's band reaches the caller.
+    def fail_off_main_thread(rows, keep, out):
+        if threading.current_thread() is not threading.main_thread():
+            raise ValueError("band failed")
+        out[...] = rows[keep]
+
+    with pytest.raises(ValueError, match="band failed"):
+        pipeline._row_bands(fail_off_main_thread, pixels, 1)
 
 
 def test_prune_nodes_dedup_keeps_brighter():

@@ -31,7 +31,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .errors import InputError
 from .geometry import PointCloud, radius_pairs
@@ -65,9 +64,12 @@ class VotingParams:
         return self.n_rel_bins if self.n_rel_bins is not None else self.hops
 
 
-def _hop_reach(locs: np.ndarray, params: VotingParams) -> sparse.csr_matrix:
-    """Boolean matrix whose row i marks every node reachable from node i in at
-    most ``hops`` steps of length <= ``hop_radius``, node i itself included."""
+def _hop_reach(locs: np.ndarray, params: VotingParams):
+    """Boolean CSR matrix whose row i marks every node reachable from node i
+    in at most ``hops`` steps of length <= ``hop_radius``, node i itself
+    included."""
+    # Imported here, so that a command that votes nothing does not load it.
+    from scipy import sparse
     n = len(locs)
     ii, jj, d2 = radius_pairs(locs, params.hop_radius)
     near = d2 <= params.hop_radius * params.hop_radius
@@ -114,9 +116,9 @@ def _vote_batch(cand: np.ndarray, n_bins: int) -> np.ndarray:
     return axis
 
 
-def _vote_all(locs: np.ndarray, reach: sparse.csr_matrix, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
+def _vote_all(locs: np.ndarray, reach, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
     """Voted unit axes of all nodes as an (N, dim) array, and the mask of the
-    nodes that have one."""
+    nodes that have one, from the CSR hop-reach matrix ``reach``."""
     n = len(locs)
     centers = np.repeat(np.arange(n), np.diff(reach.indptr))
     members = reach.indices

@@ -6,25 +6,27 @@ residual, a high eccentricity (skipped for tiny groups), and, when an image
 is bound, no intensity valley between consecutive nodes along the axis.
 Groups that are too long to be a single object are always split first.
 
-The affinity is zero beyond ``r``, so it is held sparse, as the CSR matrix
+The affinity is zero beyond ``r``, so it is held sparse, as the edge list
 of a ``graph.SparseGraph``, and the graph falls apart into connected
 components. They are found by the numpy labeller of
-``spectral.component_arrays``, which reads edge lists: once for the cloud,
-on every CSR entry, and once per spectral split, on the edges of the split
-group that stay on one side, so both sides at once with the cut edges
-dropped. No N x N array is made. Connectivity counts only edges of weight >=
-``spectral.WEAK_LINK`` (1e-12): a lighter edge, such as any edge longer than
-52.6 px under the default ``sigmaD = 10``, is below what the dense
-eigensolver resolves, so a block joined only by such edges would get an
-arbitrary Fiedler split. Dead nodes are the singleton components, that is
-nodes with no link >= 1e-12 inside their group. Every union of whole
-components has Ncut 0, so a group of several components that fails its
-stop test splits into all of them in one record (ncut 0.0, one child per
-component, by smallest member); only a connected group has its edges
-gathered from the CSR rows, once, and the Fiedler sweep reads that edge
-list, building no array but the block's normalized Laplacian. Connectivity
-is the precondition of ``spectral.ncut_bipartition``, met here by
-construction, so the sweep does not search the block for components.
+``spectral.component_arrays``, which reads edge lists and hands each
+component its own edges: once for the cloud, on every edge, and once per
+spectral split, on the edges of the split group that stay on one side, so
+both sides at once with the cut edges dropped. No N x N array is made, and
+no edge is looked up in the whole graph after the first labelling.
+Connectivity counts only edges of weight >= ``spectral.WEAK_LINK``
+(1e-12): a lighter edge, such as any edge longer than 52.6 px under the
+default ``sigmaD = 10``, is below what the dense eigensolver resolves, so a
+block joined only by such edges would get an arbitrary Fiedler split. Dead
+nodes are the singleton components, that is nodes with no link >= 1e-12
+inside their group. Every union of whole components has Ncut 0, so a group
+of several components that fails its stop test splits into all of them in
+one record (ncut 0.0, one child per component, by smallest member); only a
+connected group, one component, goes to the Fiedler sweep, with the edges
+it carries, and the sweep builds no array but the block's normalized
+Laplacian. Connectivity is the precondition of
+``spectral.ncut_bipartition``, met here by construction, so the sweep does
+not search the block for components.
 
 The recursion carries each node's ids as a sorted int64 array of working
 (location-sorted) ids and translates the record back to the caller's ids
@@ -169,10 +171,10 @@ def lcuts(cloud: PointCloud, gparams: GraphParams | None = None,
 
     Directions are estimated once and the sparse affinity matrix is built
     once. Nodes with no link >= ``WEAK_LINK`` inside their group are
-    stripped to outliers before any split; the recursion gathers a group's
-    edges only for a spectral split. The result carries
-    the sparse matrix in working order, with the permutation back to the
-    caller's order.
+    stripped to outliers before any split; each connected component
+    carries its own edges down the recursion, for a spectral split. The
+    result carries the sparse matrix in working order, with the
+    permutation back to the caller's order.
     """
     gparams = gparams or GraphParams()
     vparams = vparams or VotingParams()
@@ -200,19 +202,20 @@ def lcuts(cloud: PointCloud, gparams: GraphParams | None = None,
     fits: list[LineFit | None] = []
     outliers: list[int] = []
     root = TreeNode(ids=np.arange(len(work)))
-    # Each entry carries the connected components of its node's ids.
+    # Each entry carries the connected components of its node's ids, each
+    # as (ids, rows, cols, vals): its sorted working ids and its own edges.
     stack = [(root, component_arrays(graph.n, *graph.edges()))]
     while stack:
         node, comps = stack.pop()
         ids = node.ids
         # Dead nodes, those without a link >= WEAK_LINK, are exactly the
         # singleton components.
-        stripped = [c for c in comps if len(c) == 1] if len(ids) > 1 else []
+        stripped = [c[0] for c in comps if len(c[0]) == 1] if len(ids) > 1 else []
         if stripped:
             node.decision = "strip"
             node.stripped = np.concatenate(stripped)
             outliers.extend(node.stripped)
-            live = [c for c in comps if len(c) > 1]
+            live = [c for c in comps if len(c[0]) > 1]
             sides = [live] if live else []
         else:
             chk = check_stopping(work, ids, limits, thresh=thresh,
@@ -235,18 +238,19 @@ def lcuts(cloud: PointCloud, gparams: GraphParams | None = None,
                 node.ncut = 0.0
                 sides = [[c] for c in comps]
             else:
-                rows, cols, vals = graph.edges(ids)
+                _, rows, cols, vals = comps[0]
                 part = ncut_bipartition(len(ids), rows, cols, vals)
                 node.ncut = part.ncut
                 # One component search for both sides: drop the cut edges,
-                # and each component then lies within one side.
+                # and each component then lies within one side, with all
+                # of its edges.
                 half = np.zeros(len(ids), dtype=np.int8)
                 half[list(part.group_b)] = 1
                 kept = half[rows] == half[cols]
                 sides = [[], []]
-                for c in component_arrays(len(ids), rows[kept], cols[kept], vals[kept]):
-                    sides[half[c[0]]].append(ids[c])
-        kids = [TreeNode(ids=np.sort(np.concatenate(side))) for side in sides]
+                for c, *edges in component_arrays(len(ids), rows[kept], cols[kept], vals[kept]):
+                    sides[half[c[0]]].append((ids[c], *edges))
+        kids = [TreeNode(ids=np.sort(np.concatenate([c[0] for c in side]))) for side in sides]
         node.children.extend(kids)
         stack.extend(reversed(list(zip(kids, sides))))
 

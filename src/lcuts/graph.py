@@ -13,14 +13,14 @@ node intensities minus their population variance.
 
 Only pairs within ``r`` can have a nonzero weight, so ``build_adjacency``
 finds them with the cell grid of ``radius_pairs``, evaluates the three
-factors for all of them at once, and stores the products as one symmetric
-CSR matrix, a ``SparseGraph``: it takes O(N + pairs) memory, where a dense
-matrix takes 8 N^2 bytes. The clustering reads it through one gather,
-``SparseGraph.edges``, the stored entries among a set of nodes as
-``(rows, cols, weights)`` arrays: it labels components from those edges,
-and the Fiedler sweep reads them too. The segment minimum comes from
-``segment_min_intensity``, the one sampler that the clustering stop test
-uses as well.
+factors for all of them at once, and stores the products as a
+``SparseGraph``: the node count and one row-major edge list, every pair
+listed both ways, ``(rows, cols, weights)`` arrays that ``edges()``
+returns. It takes O(N + pairs) memory, where a dense matrix takes 8 N^2
+bytes. The clustering labels components from that list and hands each
+component its own edges down the recursion, so nothing indexes it by row.
+The segment minimum comes from ``segment_min_intensity``, the one sampler
+that the clustering stop test uses as well.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
 from .errors import InputError, MissingDataError
 from .geometry import PointCloud, radius_pairs
@@ -68,63 +67,54 @@ class GraphParams:
 
 class SparseGraph:
     """Symmetric affinity with zero diagonal and entries in [0, 1], held as
-    one canonical CSR matrix ``csr``: sorted column indices, no duplicate
-    and no explicit zero entries.
+    its node count ``n`` and its nonzero entries, each pair listed both
+    ways, as one row-major edge list (see ``edges``).
 
-    The constructor takes a caller's dense or sparse matrix and checks it
-    once; ``build_adjacency`` and ``permuted`` make valid matrices, so they
-    skip the checks.
+    The constructor takes a caller's dense matrix and checks it once;
+    ``build_adjacency`` and ``permuted`` make valid edge lists, so they skip
+    the checks.
     """
 
     def __init__(self, weights) -> None:
-        csr = sparse.csr_array(weights, dtype=np.float64, copy=True)
-        if csr.ndim != 2 or csr.shape[0] != csr.shape[1]:
+        if not isinstance(weights, np.ndarray):
+            raise InputError(f"weights must be a dense array, got {type(weights).__name__}")
+        w = np.asarray(weights, dtype=np.float64)
+        if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise InputError("weights must be a square matrix")
-        csr.sum_duplicates()
         # Written as "not 0 <= x <= 1" so that NaN fails too.
-        if not ((csr.data >= 0.0) & (csr.data <= 1.0)).all():
+        if not ((w >= 0.0) & (w <= 1.0)).all():
             raise InputError("weights must lie in [0, 1]")
-        if (csr != csr.T).nnz:
+        if (w != w.T).any():
             raise InputError("weights must be exactly symmetric")
-        if csr.diagonal().any():
+        if np.diagonal(w).any():
             raise InputError("self-weights must be zero")
-        csr.eliminate_zeros()
-        self.csr = csr
+        rows, cols = np.nonzero(w)
+        self._hold(len(w), rows, cols, w[rows, cols])
 
-    @property
-    def n(self) -> int:
-        return self.csr.shape[0]
+    def _hold(self, n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> "SparseGraph":
+        for arr in (rows, cols, vals):
+            arr.flags.writeable = False
+        self.n, self._edges = n, (rows, cols, vals)
+        return self
 
     @property
     def weights(self) -> np.ndarray:
         """A new dense N x N copy of the matrix, for tests and tracing; the
         clustering never reads it."""
-        return self.csr.toarray()
+        w = np.zeros((self.n, self.n))
+        rows, cols, vals = self._edges
+        w[rows, cols] = vals
+        return w
 
-    def edges(self, ids=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The stored entries among the distinct node ids ``ids`` as
-        ``(rows, cols, weights)``, numbered by position in ``ids`` and in
-        row-major order: the nonzero entries of ``weights[np.ix_(ids, ids)]``,
-        gathered from their CSR rows without an N x N array. With ``None``,
-        every node in order, so the CSR triplets of the whole matrix."""
-        ids = np.arange(self.n) if ids is None else np.asarray(ids, dtype=np.int64)
-        indptr, indices, data = self.csr.indptr, self.csr.indices, self.csr.data
-        pos = np.full(self.n, -1, dtype=np.int64)
-        pos[ids] = np.arange(len(ids))
-        starts, counts = indptr[ids], indptr[ids + 1] - indptr[ids]
-        # Each stored entry of the chosen rows: its block row and its slot.
-        rows = np.repeat(np.arange(len(ids)), counts)
-        slots = np.arange(rows.size) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
-        cols = pos[indices[slots]]
-        keep = np.flatnonzero(cols >= 0)
-        # A row lists its entries by node id; ids out of order need a sort.
-        if (np.diff(ids) < 0).any():
-            keep = keep[np.argsort(rows[keep] * len(ids) + cols[keep])]
-        return rows[keep], cols[keep], data[slots[keep]]
+    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzero entries as ``(rows, cols, weights)`` int64, int64 and
+        float64 arrays in row-major order, so every pair twice, once each
+        way. They are the graph's own arrays, read-only, not copies."""
+        return self._edges
 
     def permuted(self, new_id: np.ndarray) -> "SparseGraph":
         """The same graph with node ``i`` renamed ``new_id[i]``, a permutation."""
-        rows, cols, vals = self.edges()
+        rows, cols, vals = self._edges
         return _canonical(self.n, new_id[rows], new_id[cols], vals)
 
 
@@ -133,14 +123,11 @@ def _canonical(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> 
     The positions must be distinct and off the diagonal, the entries in
     [0, 1], and the pattern symmetric; the zeros are dropped here."""
     nonzero = vals != 0.0
-    rows, cols, vals = rows[nonzero], cols[nonzero], vals[nonzero]
+    rows, cols, vals = rows[nonzero].astype(np.int64), cols[nonzero].astype(np.int64), vals[nonzero]
     # One key per position, row-major; the keys are distinct, so any sort
     # gives the (row, column) order.
-    order = np.argsort(rows.astype(np.int64) * n + cols)
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-    graph = SparseGraph.__new__(SparseGraph)
-    graph.csr = sparse.csr_array((vals[order], cols[order], indptr), shape=(n, n))
-    return graph
+    order = np.argsort(rows * n + cols)
+    return SparseGraph.__new__(SparseGraph)._hold(n, rows[order], cols[order], vals[order])
 
 
 def intensity_threshold(cloud: PointCloud) -> float:

@@ -194,8 +194,11 @@ def _disk_rank(pixels: np.ndarray, half: np.ndarray, filter1d, fold,
     ``pixels`` are copies of the filtered rows they mirror (numpy's
     "reflect" is ndimage's "mirror", d c b | a b c d | c b a, also for
     reflections longer than the axis). Each row offset then folds in one
-    slice of the buffer.
+    slice of the buffer. A half-width of at least the row length less one
+    takes the whole row and its mirror image, so it gives the row's plain
+    min or max; it is capped there, and such widths filter once.
     """
+    half = np.minimum(half, pixels.shape[1] - 1)
     r = len(half) // 2
     n = pixels.shape[0]
     start, stop, _ = keep.indices(n)
@@ -263,9 +266,9 @@ def subtract_background(img: RasterImage, radius: float) -> RasterImage:
     return RasterImage(_row_bands(flatten, img.pixels, 2 * int(np.floor(radius))))
 
 
-def find_local_maxima(img: RasterImage, window: int, floor: float) -> list[np.ndarray]:
-    """Pixel-center coordinates (x, y) of strict windowed maxima above ``floor``,
-    in row-major order.
+def find_local_maxima(img: RasterImage, window: int, floor: float) -> np.ndarray:
+    """Pixel-center coordinates of strict windowed maxima above ``floor``, as
+    an (N, 2) float64 array of (x, y) rows in row-major order.
 
     A plateau inside one window emits only its lexicographically smallest
     pixel (row-major order), so flat crests do not flood the output.
@@ -294,14 +297,13 @@ def find_local_maxima(img: RasterImage, window: int, floor: float) -> list[np.nd
         out[...] = found[keep]
 
     found = np.argwhere(_row_bands(maxima, img.pixels, half, dtype=bool))
-    return list(found[:, ::-1].astype(np.float64))
+    return found[:, ::-1].astype(np.float64)
 
 
-def prune_nodes(points: list[np.ndarray], img: RasterImage, params: PipelineParams) -> PointCloud:
+def prune_nodes(points: np.ndarray, img: RasterImage, params: PipelineParams) -> PointCloud:
     """Deduplicate close detections (brighter wins), drop isolated ones, and
-    attach image intensities. The result is a cloud bound to ``img``."""
-    if not points:
-        return PointCloud.from_arrays(np.zeros((0, 2)), image=img)
+    attach image intensities. ``points`` is an (N, 2) array of (x, y) rows,
+    as ``find_local_maxima`` gives. The result is a cloud bound to ``img``."""
     pts = np.asarray(points, dtype=np.float64)
     vals = bilinear_sample(img, pts[:, 0], pts[:, 1])
     # Brightest first; ties resolved by raster order for determinism.

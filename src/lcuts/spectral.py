@@ -6,13 +6,13 @@ D^(-1/2), then an exhaustive sweep over the n-1 thresholds between
 consecutive sorted entries picks the split with the smallest true Ncut.
 ``ncut_bipartition`` splits a connected graph, given as an edge list,
 ``(rows, cols, weights)`` arrays with every edge listed both ways, such as
-``SparseGraph.edges`` gives: the edges of weight at least ``WEAK_LINK``
-must join every node. It does not search for components to check that;
-``engine.lcuts`` meets it by construction. A graph with several such
-components has an Ncut of 0 between any union of components and the rest,
-so it needs no bipartition; the recursion in ``engine`` splits it into all
-of its components at once, and hands the sweep one connected component at
-a time.
+``SparseGraph.edges()`` and ``component_arrays`` give: the edges of weight
+at least ``WEAK_LINK`` must join every node. It does not search for
+components to check that; ``engine.lcuts`` meets it by construction. A
+graph with several such components has an Ncut of 0 between any union of
+components and the rest, so it needs no bipartition; the recursion in
+``engine`` splits it into all of its components at once, and hands the
+sweep one connected component at a time.
 
 The degrees, the sweep and the Ncut of the chosen split read only the
 edges. The one n x n array is the normalized Laplacian, scattered from the
@@ -36,7 +36,7 @@ work and the same result on every LAPACK build; the split records ncut 0.0
 (its exact Ncut on the field layouts is about 1e-15).
 
 ``component_arrays`` finds the components of a graph given as an edge
-list, ``(rows, cols, weights)`` arrays such as ``SparseGraph.edges`` gives,
+list, ``(rows, cols, weights)`` arrays such as ``SparseGraph.edges()`` gives,
 with whole-array numpy steps in the hook-and-jump style of Shiloach and
 Vishkin. It reads only the edges, so a block costs no dense scan and no
 sparse-matrix set-up. Every node holds a pointer, first to itself. A round
@@ -49,7 +49,10 @@ larger root of the two. At the fixpoint no edge joins two trees, so each
 component is one tree, and its root is at most every member's id while
 being a member, that is, the smallest id. A stable sort by that label
 lists each component in ascending order, and the components by their
-smallest member.
+smallest member. A second stable sort, of the edges inside one component
+by its label, hands each component its own edges in the given order,
+renumbered by position in the component, so a caller never gathers them
+again.
 """
 
 from __future__ import annotations
@@ -57,7 +60,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .errors import DegenerateInputError, InputError, LcutsError
 
@@ -89,6 +91,8 @@ def _lowest_eigenpairs(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     ``m`` by LAPACK's relatively robust representations driver (``evr``),
     which reads its lower triangle and overwrites it. A Fortran-ordered
     ``m`` is solved in place, with no copy."""
+    # Imported here, so that a command that solves nothing does not load it.
+    from scipy import linalg
     return linalg.eigh(m, subset_by_index=[0, k - 1], driver="evr", check_finite=False,
                        overwrite_a=True)
 
@@ -112,13 +116,20 @@ def smallest_eigenpairs(matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def component_arrays(n: int, rows: np.ndarray, cols: np.ndarray,
-                     weights: np.ndarray) -> list[np.ndarray]:
+                     weights: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Connected components of the graph on nodes ``0..n-1`` with an edge of
     weight ``weights[k]`` between ``rows[k]`` and ``cols[k]``, linking two
     nodes only by an edge of weight >= ``WEAK_LINK``, found by the
     hook-and-jump labeller of the module docstring. An edge links its ends
-    whichever way it is listed. Each component is a sorted int64 array, and
-    they are ordered by their smallest member."""
+    whichever way it is listed.
+
+    Each component comes with its own edges, as ``(ids, rows, cols,
+    weights)``: ``ids`` is its sorted int64 array of nodes, and the edges
+    are the given edges with both ends in it, of any weight, numbered by
+    position in ``ids`` and kept in the given order, so a row-major list
+    gives row-major lists. The components are ordered by their smallest
+    member; an edge between two of them, lighter than ``WEAK_LINK``, is
+    dropped."""
     linked = weights >= WEAK_LINK
     ii, jj = rows[linked], cols[linked]
     label = np.arange(n)
@@ -139,9 +150,21 @@ def component_arrays(n: int, rows: np.ndarray, cols: np.ndarray,
         ii, jj = ii[cross], jj[cross]
     # Each label is now its component's smallest id.
     members = np.argsort(label, kind="stable")
-    sizes = np.bincount(label)
-    # The split after the last member leaves one empty array to drop.
-    return np.split(members, np.cumsum(sizes[sizes > 0]))[:-1]
+    sizes = np.bincount(label, minlength=n)
+    # Each node's place in its component: its slot in members less the
+    # slot where its component starts.
+    pos = np.empty(n, dtype=np.int64)
+    pos[members] = np.arange(n) - (np.cumsum(sizes) - sizes)[label[members]]
+    # The edges inside one component, grouped by it in the given order.
+    inside = np.flatnonzero(label[rows] == label[cols])
+    owner = label[rows[inside]]
+    inside = inside[np.argsort(owner, kind="stable")]
+    rows, cols, weights = pos[rows[inside]], pos[cols[inside]], weights[inside]
+    # Each component takes the next run of members and the next run of edges.
+    ends = np.cumsum(sizes[sizes > 0]).tolist()
+    edge_ends = np.cumsum(np.bincount(owner, minlength=n)[sizes > 0]).tolist()
+    return [(members[a:b], rows[e:f], cols[e:f], weights[e:f])
+            for a, b, e, f in zip([0, *ends], ends, [0, *edge_ends], edge_ends)]
 
 
 def ncut_bipartition(n: int, rows: np.ndarray, cols: np.ndarray,
@@ -149,7 +172,7 @@ def ncut_bipartition(n: int, rows: np.ndarray, cols: np.ndarray,
     """Fiedler split of the graph on nodes ``0..n-1`` with an edge of weight
     ``weights[k]`` from ``rows[k]`` to ``cols[k]``. The positions must be
     distinct and off the diagonal, and every edge listed both ways with the
-    same weight, as ``SparseGraph.edges`` gives them; the Laplacian is then
+    same weight, as ``component_arrays`` gives them; the Laplacian is then
     symmetric by construction and is not checked.
 
     Precondition, not checked: the edges of weight >= ``WEAK_LINK``

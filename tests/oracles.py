@@ -273,9 +273,9 @@ def check_stopping(cloud: PointCloud, group, limits: StoppingLimits,
 
 
 def components(w) -> list[list[int]]:
-    """``lcuts.spectral.component_arrays`` as lists, through
-    ``connected_components`` on a sparse copy of the matrix with the edges
-    below ``WEAK_LINK`` removed."""
+    """The ids of the components of ``lcuts.spectral.component_arrays`` as
+    lists, through ``connected_components`` on a sparse copy of the matrix
+    with the edges below ``WEAK_LINK`` removed."""
     linked = sparse.csr_matrix(w, copy=True)
     linked.data[linked.data < WEAK_LINK] = 0.0
     linked.eliminate_zeros()
@@ -388,6 +388,29 @@ def keeps_gap(rod, rods, gap: float, skip: int | None = None) -> bool:
         if segment_distance(p0, p1, q0, q1) < gap:
             return False
     return True
+
+
+def block_edges(graph, ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edges of ``graph`` among the distinct node ids ``ids`` as
+    ``(rows, cols, weights)``, numbered by position in ``ids`` and in
+    row-major order: the nonzero entries of ``weights[np.ix_(ids, ids)]``,
+    gathered from the CSR rows of the whole graph's edge list. This is the
+    gather that ``SparseGraph.edges(ids)`` ran before each Fiedler split."""
+    ids = np.asarray(ids, dtype=np.int64)
+    all_rows, indices, data = graph.edges()
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(all_rows, minlength=graph.n))))
+    pos = np.full(graph.n, -1, dtype=np.int64)
+    pos[ids] = np.arange(len(ids))
+    starts, counts = indptr[ids], indptr[ids + 1] - indptr[ids]
+    # Each stored entry of the chosen rows: its block row and its slot.
+    rows = np.repeat(np.arange(len(ids)), counts)
+    slots = np.arange(rows.size) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    cols = pos[indices[slots]]
+    keep = np.flatnonzero(cols >= 0)
+    # A row lists its entries by node id; ids out of order need a sort.
+    if (np.diff(ids) < 0).any():
+        keep = keep[np.argsort(rows[keep] * len(ids) + cols[keep])]
+    return rows[keep], cols[keep], data[slots[keep]]
 
 
 def canonical_csr(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):

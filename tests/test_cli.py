@@ -654,3 +654,44 @@ def test_commands_load_ndimage_and_optimize_only_when_needed(tmp_path):
     # and importing scipy.optimize loads scipy.spatial
     assert loaded["lumped_metrics.json"] == ["scipy.ndimage", "scipy.optimize", "scipy.spatial",
                                              "scipy.special"]
+
+
+NO_SCIPY = textwrap.dedent("""
+    import json, os, sys
+    from pathlib import Path
+
+
+    def scipy_modules():
+        return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+
+    import lcuts.cli
+    from lcuts.geometry import read_cloud_csv
+
+    loaded = {"import": scipy_modules()}
+    os.chdir(sys.argv[1])
+    Path("spec.cfg").write_text("dim = 2\\nnRods = 5\\nseed = 0\\n")
+    assert lcuts.cli.main(["--quiet", "synth", "spec.cfg", "tiny"]) == 0
+    loaded["synth"] = scipy_modules()
+    # The truth itself as the prediction overlaps one to one.
+    cloud, truth = read_cloud_csv("tiny.csv")
+    Path("pred.json").write_text(json.dumps({
+        "groups": [sorted(g) for g in truth], "outliers": [],
+        "nodes": [{"id": k, "loc": loc} for k, loc in enumerate(cloud.locs().tolist())]}))
+    assert lcuts.cli.main(["--quiet", "evaluate", "pred.json", "tiny.csv", "metrics.json"]) == 0
+    loaded["evaluate"] = scipy_modules()
+    for source in ("tiny.csv", "pred.json"):
+        assert lcuts.cli.main(["--quiet", "render", source, source + ".svg"]) == 0
+    loaded["render"] = scipy_modules()
+    print(json.dumps(loaded))
+""")
+
+
+def test_render_synth_and_one_to_one_evaluate_load_no_scipy(tmp_path):
+    # A fresh process, since this test session has loaded scipy.
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY, str(tmp_path)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads((tmp_path / "metrics.json").read_text())
+    assert metrics["gacc"] == metrics["cacc"] == 1.0
+    assert json.loads(proc.stdout) == {"import": [], "synth": [], "evaluate": [], "render": []}

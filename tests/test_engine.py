@@ -13,7 +13,7 @@ from lcuts.direction import VotingParams, assign_all_directions
 from lcuts.engine import Decision, StoppingLimits, check_stopping, lcuts
 from lcuts.errors import InputError
 from lcuts.geometry import Node, PointCloud, fit_line
-from lcuts.graph import GraphParams, build_adjacency, intensity_threshold
+from lcuts.graph import GraphParams, SparseGraph, build_adjacency, intensity_threshold
 from lcuts.metrics import evaluate
 from lcuts.raster import RasterImage
 from lcuts.spectral import WEAK_LINK, component_arrays, ncut_bipartition
@@ -457,6 +457,64 @@ def test_fiedler_blocks_are_connected(monkeypatch):
     for spec in (SynthSpec(dim=2, n_rods=300, seed=1), SynthSpec(dim=3, n_rods=200, seed=1)):
         lcuts(generate_cloud(spec)[0])
     assert blocks  # the wrapper was reached
+
+
+def test_fiedler_blocks_carry_the_edges_of_the_whole_graph(monkeypatch):
+    # Each component carries its own edges down the recursion, so lcuts()
+    # reads the whole graph's edges once, for its first labelling. Every
+    # block the sweep gets must still equal, array for array and in order,
+    # the gather of its ids from the whole affinity, oracles.block_edges.
+    gathers, calls = [], []
+    whole_edges = SparseGraph.edges
+
+    def counted(graph, *args):
+        gathers.append(args)
+        return whole_edges(graph, *args)
+
+    def recorded(n, rows, cols, weights):
+        part = ncut_bipartition(n, rows, cols, weights)
+        calls.append((n, rows, cols, weights, part.ncut))
+        return part
+
+    monkeypatch.setattr(SparseGraph, "edges", counted)
+    monkeypatch.setattr(engine, "ncut_bipartition", recorded)
+
+    def check(cloud) -> int:
+        gathers.clear()
+        calls.clear()
+        result = lcuts(cloud)
+        assert len(gathers) == 1 and gathers[0] == ()
+        # The Fiedler records in the order the recursion made them: depth
+        # first, children in order. A component split records ncut 0.0, and
+        # a Fiedler split cuts an edge >= WEAK_LINK, so a positive ncut.
+        fiedler, walk = [], [result.tree]
+        while walk:
+            node = walk.pop()
+            if node.ncut:
+                fiedler.append(node)
+            walk.extend(reversed(node.children))
+        assert len(fiedler) == len(calls)
+        for node, (n, rows, cols, weights, ncut) in zip(fiedler, calls):
+            ids = np.sort(result.rank[node.ids])
+            want = oracles.block_edges(result.work_graph, ids)
+            assert node.ncut == ncut and n == len(ids)
+            assert rows.tolist() == want[0].tolist() and cols.tolist() == want[1].tolist()
+            assert weights.tobytes() == want[2].tobytes()
+        return len(calls)
+
+    # Replays criterion 09's corpus draw for draw.
+    rng = np.random.default_rng(3)
+    blocks = 0
+    for t in range(500):
+        cloud = fuzz_cloud(t, rng)
+        if t % 10 == 0 and len(cloud) > 1:
+            rng.permutation(len(cloud))
+        if len(cloud):
+            blocks += check(cloud)
+    assert blocks > 2000  # the wrapper was reached
+    # The rod layouts of the field2d and field3d benchmark workloads.
+    for spec in (SynthSpec(dim=2, n_rods=300, seed=1), SynthSpec(dim=3, n_rods=200, seed=1)):
+        assert check(generate_cloud(spec)[0]) > 100
 
 
 def test_fiedler_splits_equal_dense_reference(monkeypatch):

@@ -12,7 +12,7 @@ from lcuts.graph import (MIN_SAMPLING_STEP, SAMPLE_BLOCK, GraphParams, SparseGra
 from lcuts.raster import RasterImage, bilinear_sample
 from lcuts.spectral import component_arrays
 from lcuts.synth import SynthSpec, generate_cloud, generate_image
-from oracles import (canonical_csr, hop_neighborhood, pairwise_distance, segment_min_by_count,
+from oracles import (block_edges, canonical_csr, hop_neighborhood, pairwise_distance, segment_min_by_count,
                      segment_min_scalar, weight_direction, weight_distance, weight_intensity)
 from scipy import sparse
 from test_acceptance import fuzz_cloud
@@ -256,12 +256,26 @@ def test_build_adjacency_exactly_symmetric():
     assert w.min() >= 0.0 and w.max() <= 1.0
 
 
+def assert_csr_triplets(n, edges, csr):
+    """``edges`` lists the entries of the CSR arrays ``csr`` in order, bit
+    for bit."""
+    rows, cols, vals = edges
+    indptr, indices, data = csr
+    assert rows.tolist() == np.repeat(np.arange(n), np.diff(indptr)).tolist()
+    assert cols.tolist() == indices.tolist() and vals.tobytes() == data.tobytes()
+
+
 def assert_canonical(graph):
-    csr = graph.csr
-    assert csr.has_sorted_indices and csr.has_canonical_format
-    assert (csr.data != 0.0).all()
-    assert not csr.diagonal().any()
-    assert (csr != csr.T).nnz == 0
+    """The edge list is int64, int64 and float64, read-only, row-major with
+    no repeated position, off the diagonal, and has no zero entry; it is its
+    own transpose."""
+    n, (rows, cols, vals) = graph.n, graph.edges()
+    assert rows.dtype == cols.dtype == np.int64 and vals.dtype == np.float64
+    assert not (rows.flags.writeable or cols.flags.writeable or vals.flags.writeable)
+    assert (np.diff(rows * n + cols) > 0).all()
+    assert (rows != cols).all()
+    assert_csr_triplets(n, graph.edges(), canonical_csr(n, rows, cols, vals))
+    assert_csr_triplets(n, graph.edges(), canonical_csr(n, cols, rows, vals))
 
 
 def assert_sparse_equals_dense(graph, w, rng):
@@ -276,13 +290,13 @@ def assert_sparse_equals_dense(graph, w, rng):
     assert_canonical(moved)
     assert moved.weights.tobytes() == w[np.ix_(rank, rank)].tobytes()
     rows, cols = np.nonzero(w)
-    assert ([c.tolist() for c in component_arrays(n, *graph.edges())]
-            == [c.tolist() for c in component_arrays(n, rows, cols, w[rows, cols])])
+    assert ([c.tolist() for c, *_ in component_arrays(n, *graph.edges())]
+            == [c.tolist() for c, *_ in component_arrays(n, rows, cols, w[rows, cols])])
 
 
 def test_sparse_graph_equals_dense_on_fuzz_corpus():
     # Replays criterion 09's corpus draw for draw; the dense matrix is built
-    # here by scattering the CSR entries, as build_adjacency used to.
+    # here by scattering the edges, as build_adjacency used to.
     rng = np.random.default_rng(3)
     pick = np.random.default_rng(11)
     for t in range(500):
@@ -293,26 +307,27 @@ def test_sparse_graph_equals_dense_on_fuzz_corpus():
             continue
         graph = build_adjacency(assign_all_directions(cloud, VotingParams()), GraphParams())
         assert_canonical(graph)
-        coo = graph.csr.tocoo()
+        rows, cols, vals = graph.edges()
         w = np.zeros((len(cloud), len(cloud)))
-        w[coo.row, coo.col] = coo.data
+        w[rows, cols] = vals
         assert_sparse_equals_dense(graph, w, pick)
 
 
 def assert_edges_are_nonzero_entries(graph, w, rng):
-    """``edges(ids)`` lists the nonzero entries of ``w[np.ix_(ids, ids)]`` in
-    row-major order, and ``edges()`` the CSR triplets."""
+    """``edges()`` lists the nonzero entries of ``w`` in row-major order,
+    and the reference gather ``oracles.block_edges(graph, ids)`` those of
+    ``w[np.ix_(ids, ids)]``."""
     n = len(w)
+    want = np.nonzero(w)
     rows, cols, vals = graph.edges()
-    csr = graph.csr
-    assert rows.tolist() == np.repeat(np.arange(n), np.diff(csr.indptr)).tolist()
-    assert cols.tolist() == csr.indices.tolist() and vals.tobytes() == csr.data.tobytes()
+    assert rows.tolist() == want[0].tolist() and cols.tolist() == want[1].tolist()
+    assert vals.tobytes() == w[want].tobytes()
     chosen = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
     for ids in ([], list(range(n)), [int(rng.integers(n))], rng.permutation(n), chosen,
                 np.sort(chosen), np.sort(chosen).tolist()):
         block = w[np.ix_(ids, ids)]
         want = np.nonzero(block)
-        rows, cols, vals = graph.edges(ids)
+        rows, cols, vals = block_edges(graph, ids)
         assert rows.tolist() == want[0].tolist() and cols.tolist() == want[1].tolist()
         assert vals.tobytes() == block[want].tobytes()
 
@@ -340,16 +355,12 @@ def test_sparse_graph_equals_dense_on_random_matrices():
         graph = SparseGraph(w)
         assert_canonical(graph)
         assert_sparse_equals_dense(graph, w, rng)
-        assert_sparse_equals_dense(SparseGraph(sparse.coo_array(w)), w, rng)
 
 
 def assert_one_key_order(n, rows, cols, vals):
-    """_canonical's CSR arrays equal those of the (row, column) lexsort."""
-    csr = _canonical(n, rows, cols, vals).csr
-    indptr, indices, data = canonical_csr(n, rows, cols, vals)
-    assert csr.indptr.tolist() == indptr.tolist()
-    assert csr.indices.tolist() == indices.tolist()
-    assert csr.data.tobytes() == data.tobytes()
+    """_canonical's edge list equals the CSR arrays of the (row, column)
+    lexsort."""
+    assert_csr_triplets(n, _canonical(n, rows, cols, vals).edges(), canonical_csr(n, rows, cols, vals))
 
 
 def test_canonical_one_key_sort_equals_lexsort_on_fuzz_corpus():
@@ -359,9 +370,10 @@ def test_canonical_one_key_sort_equals_lexsort_on_fuzz_corpus():
         cloud = fuzz_cloud(t, rng)
         if t % 10 == 0 and len(cloud) > 1:
             rng.permutation(len(cloud))
-        coo = build_adjacency(assign_all_directions(cloud, VotingParams()), GraphParams()).csr.tocoo()
-        order = shuffle.permutation(coo.nnz)
-        assert_one_key_order(len(cloud), coo.row[order], coo.col[order], coo.data[order])
+        rows, cols, vals = build_adjacency(assign_all_directions(cloud, VotingParams()),
+                                           GraphParams()).edges()
+        order = shuffle.permutation(len(rows))
+        assert_one_key_order(len(cloud), rows[order], cols[order], vals[order])
 
 
 def test_canonical_one_key_sort_equals_lexsort_on_random_patterns():
@@ -392,15 +404,18 @@ def test_sparse_graph_validation():
         SparseGraph(np.array([[0.0, np.nan], [np.nan, 0.0]]))
     with pytest.raises(InputError):
         SparseGraph(np.zeros((2, 3)))
+    # Only a dense array is taken: not a sparse matrix, and nothing else.
+    for given in (sparse.csr_array(np.array([[0.0, 0.5], [0.5, 0.0]])),
+                  sparse.coo_matrix((2, 2)), [[0.0, 0.5], [0.5, 0.0]], "weights", None):
+        with pytest.raises(InputError, match="weights must be a dense array"):
+            SparseGraph(given)
     assert SparseGraph(np.zeros((0, 0))).n == 0
-    # An explicit zero and an unsorted row are put in canonical form on a
-    # copy; the caller's matrix is left as it was.
-    given = sparse.csr_array((np.array([0.5, 0.0, 0.5]), np.array([2, 1, 0]),
-                              np.array([0, 2, 2, 3])), shape=(3, 3))
-    graph = SparseGraph(given)
+    # The caller's matrix is copied, not held.
+    w = np.array([[0.0, 0.5], [0.5, 0.0]])
+    graph = SparseGraph(w)
+    w[0, 1] = w[1, 0] = 0.25
+    assert graph.edges()[2].tolist() == [0.5, 0.5]
     assert_canonical(graph)
-    assert graph.csr.nnz == 2 and given.nnz == 3 and given.indices.tolist() == [2, 1, 0]
-    assert np.array_equal(graph.weights, given.toarray())
 
 
 def test_build_adjacency_on_a_field_equals_dense_scatter():
@@ -408,9 +423,9 @@ def test_build_adjacency_on_a_field_equals_dense_scatter():
     cloud = assign_all_directions(cloud, VotingParams())
     graph = build_adjacency(cloud, PARAMS)
     assert_canonical(graph)
-    coo = graph.csr.tocoo()
+    rows, cols, vals = graph.edges()
     w = np.zeros((len(cloud), len(cloud)))
-    w[coo.row, coo.col] = coo.data
+    w[rows, cols] = vals
     assert_sparse_equals_dense(graph, w, np.random.default_rng(4))
 
 

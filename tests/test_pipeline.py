@@ -179,12 +179,13 @@ def test_find_local_maxima_basic():
     px = np.zeros((15, 15))
     px[7, 9] = 0.8
     pts = find_local_maxima(RasterImage(px), 3, 0.05)
-    assert len(pts) == 1 and pts[0].tolist() == [9.0, 7.0]
+    # one (x, y) row of an (N, 2) float array
+    assert pts.dtype == np.float64 and pts.tolist() == [[9.0, 7.0]]
     # constant images have no crest anywhere
-    assert find_local_maxima(RasterImage(np.full((10, 10), 0.5)), 3, 0.05) == []
+    assert find_local_maxima(RasterImage(np.full((10, 10), 0.5)), 3, 0.05).shape == (0, 2)
     # below the floor nothing fires
     px[7, 9] = 0.04
-    assert find_local_maxima(RasterImage(px), 3, 0.05) == []
+    assert find_local_maxima(RasterImage(px), 3, 0.05).shape == (0, 2)
     with pytest.raises(InputError):
         find_local_maxima(RasterImage(px), 2, 0.05)
 
@@ -298,7 +299,7 @@ def test_prune_nodes_dedup_keeps_brighter():
     img = RasterImage(px)
     # (3,5) and (4,5) collide; the brighter one survives. The companion at
     # (7,5) keeps the survivor from being discarded as isolated.
-    cloud = prune_nodes([np.array([3.0, 5.0]), np.array([4.0, 5.0]), np.array([7.0, 5.0])],
+    cloud = prune_nodes(np.array([[3.0, 5.0], [4.0, 5.0], [7.0, 5.0]]),
                         img, PipelineParams(min_separation=2.0, min_neighbor_dist=5.0))
     assert len(cloud) == 2
     assert [n.loc.tolist() for n in cloud.nodes] == [[3.0, 5.0], [7.0, 5.0]]
@@ -307,12 +308,12 @@ def test_prune_nodes_dedup_keeps_brighter():
 
 def test_prune_nodes_drops_isolated():
     img = RasterImage(np.full((40, 40), 0.5))
-    pts = [np.array([5.0, 5.0]), np.array([8.0, 5.0]), np.array([30.0, 30.0])]
+    pts = np.array([[5.0, 5.0], [8.0, 5.0], [30.0, 30.0]])
     cloud = prune_nodes(pts, img, PipelineParams())
     assert len(cloud) == 2
     assert all(n.loc[0] < 10 for n in cloud.nodes)
     # a partner at exactly the isolation radius still counts
-    pair = [np.array([10.0, 10.0]), np.array([13.0, 14.0])]
+    pair = np.array([[10.0, 10.0], [13.0, 14.0]])
     assert len(prune_nodes(pair, img, PipelineParams(min_neighbor_dist=5.0))) == 2
     assert len(prune_nodes(pair, img, PipelineParams(min_neighbor_dist=np.nextafter(5.0, 0.0)))) == 0
 
@@ -321,7 +322,7 @@ def test_prune_nodes_grid_preserved():
     rng = np.random.default_rng(3)
     px = rng.uniform(0.2, 1.0, size=(30, 30))
     img = RasterImage(px)
-    pts = [np.array([float(x), float(y)]) for y in range(3, 28, 4) for x in range(3, 28, 4)]
+    pts = np.array([[float(x), float(y)] for y in range(3, 28, 4) for x in range(3, 28, 4)])
     cloud = prune_nodes(pts, img, PipelineParams(min_separation=2.0, min_neighbor_dist=5.0))
     assert len(cloud) == len(pts)
     for node in cloud.nodes:
@@ -334,9 +335,9 @@ def _assert_prune_matches_greedy(points, img, params):
     if len(np.unique(locs, axis=0)) < len(locs):
         # only min_separation = 0 keeps duplicates, and a cloud rejects them
         with pytest.raises(InputError, match="duplicate"):
-            prune_nodes(points, img, params)
+            prune_nodes(np.array(points), img, params)
         return
-    cloud = prune_nodes(points, img, params)
+    cloud = prune_nodes(np.array(points), img, params)
     assert np.array_equal(cloud.locs().reshape(-1, 2), locs)
     assert [n.intensity for n in cloud.nodes] == vals.tolist()
 

@@ -17,9 +17,16 @@ from test_acceptance import fuzz_cloud
 
 def components(w):
     """The components of a dense or sparse matrix, labelled from its stored
-    entries as edges."""
+    entries as edges. Each component must come with the stored entries that
+    have both ends in it, in their given order, numbered by position in it."""
     coo = sparse.coo_array(w)
-    return [c.tolist() for c in component_arrays(coo.shape[0], coo.row, coo.col, coo.data)]
+    blocks = component_arrays(coo.shape[0], coo.row, coo.col, coo.data)
+    for ids, rows, cols, vals in blocks:
+        inside = np.isin(coo.row, ids) & np.isin(coo.col, ids)
+        assert ids[rows].tolist() == coo.row[inside].tolist()
+        assert ids[cols].tolist() == coo.col[inside].tolist()
+        assert vals.tobytes() == coo.data[inside].tobytes()
+    return [ids.tolist() for ids, *_ in blocks]
 
 
 def graph_from(w):
@@ -28,7 +35,7 @@ def graph_from(w):
 
 def split(w):
     """``ncut_bipartition`` on the nonzero entries of the dense matrix ``w``,
-    listed in row-major order as ``SparseGraph.edges`` lists them."""
+    listed in row-major order as ``SparseGraph.edges()`` lists them."""
     rows, cols = np.nonzero(w)
     return ncut_bipartition(len(w), rows, cols, w[rows, cols])
 

@@ -4,10 +4,10 @@ Locations are in pixel units, 2-D (x, y) or 3-D (x, y, z), with the raster
 convention that y grows downward. A ``PointCloud`` is arrays: locations,
 intensities and directions, one row per node, with NaN where a node has no
 intensity or no direction. One vectorized validator checks a cloud's arrays
-whichever way it is built, and also checks a single ``Node`` record; the
-CSV reader maps the node it names to the file line. ``PointCloud.nodes``
-gives the records for callers that want them; the library reads only the
-arrays.
+once, whichever way it is built; the CSV reader maps the node it names to
+the file line. A ``Node`` is a plain record, checked only as part of the
+cloud built from it. ``PointCloud.nodes`` gives the records for callers
+that want them; the library reads only the arrays.
 
 A total-least-squares line fit summarizes a group of points by its
 principal axis; the orthogonal residual spread and the projection span onto
@@ -51,8 +51,9 @@ class Node:
 
     ``intensity`` is the image brightness at the node (absent for plain
     clouds); ``dir`` is the locally estimated unit axis (absent until
-    direction assignment runs, or when the node has no neighbors). A node
-    is checked by the same validator as a cloud, on one row.
+    direction assignment runs, or when the node has no neighbors). A record
+    is not checked on its own: ``PointCloud(nodes, dim)`` checks all the
+    records of a cloud at once, with the cloud's validator.
     """
 
     id: int
@@ -61,21 +62,9 @@ class Node:
     dir: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        loc = np.asarray(self.loc, dtype=np.float64)
-        if loc.ndim != 1 or loc.shape[0] not in (2, 3):
-            raise DimensionMismatchError(f"node {self.id}: loc must be a 2- or 3-vector")
-        axis = np.full_like(loc, np.nan) if self.dir is None else np.asarray(self.dir, dtype=np.float64)
-        if axis.shape != loc.shape:
-            raise DimensionMismatchError(f"node {self.id}: dir/loc dimension mismatch")
-        given = self.intensity is not None
-        intensity = np.array([float(self.intensity) if given else np.nan])
-        try:
-            _check_nodes(loc[None], intensity, np.array([given]), axis[None], None)
-        except NodeError as exc:
-            raise NodeError(self.id, exc.reason) from None
-        object.__setattr__(self, "loc", loc)
-        object.__setattr__(self, "intensity", float(intensity[0]) if given else None)
-        object.__setattr__(self, "dir", None if np.isnan(axis).all() else axis)
+        object.__setattr__(self, "loc", np.asarray(self.loc, dtype=np.float64))
+        if self.dir is not None:
+            object.__setattr__(self, "dir", np.asarray(self.dir, dtype=np.float64))
 
 
 def _first(mask: np.ndarray) -> int | None:
@@ -140,6 +129,11 @@ class PointCloud:
         if dim not in (2, 3):
             raise DimensionMismatchError(f"dim must be 2 or 3, got {dim}")
         nodes = list(nodes)
+        for node in nodes:
+            if node.loc.shape not in ((2,), (3,)):
+                raise DimensionMismatchError(f"node {node.id}: loc must be a 2- or 3-vector")
+            if node.dir is not None and node.dir.shape != node.loc.shape:
+                raise DimensionMismatchError(f"node {node.id}: dir/loc dimension mismatch")
         ids = np.array([node.id for node in nodes], dtype=np.int64)
         k = _first(ids != np.arange(len(nodes)))
         if k is not None:
@@ -152,7 +146,7 @@ class PointCloud:
         self._bind(np.array([node.loc for node in nodes]).reshape(-1, dim),
                    [np.nan if node.intensity is None else node.intensity for node in nodes],
                    np.array([absent if node.dir is None else node.dir for node in nodes]).reshape(-1, dim),
-                   image)
+                   image, given=np.array([node.intensity is not None for node in nodes], dtype=bool))
 
     @classmethod
     def from_arrays(cls, locs, intensities=None, dirs=None,
@@ -205,7 +199,8 @@ class PointCloud:
     @property
     def nodes(self) -> list[Node]:
         """The nodes as ``Node`` records, in a new list on each access. The
-        records are built on the first access; no library code reads them."""
+        records are built on the first access and not checked again; no
+        library code reads them."""
         if self._nodes is None:
             self._nodes = tuple(
                 Node(k, loc, None if np.isnan(v) else v, None if np.isnan(axis[0]) else axis)

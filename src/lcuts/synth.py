@@ -2,11 +2,18 @@
 
 Rods are straight segments placed by rejection sampling so that any two keep
 a minimum mutual distance, except for explicitly requested crossing pairs,
-which are constructed to intersect at a steep angle. Nodes are sampled along
-each rod at a fixed spacing with Gaussian noise orthogonal to the rod axis.
-Images render each rod as a chain of anisotropic Gaussian blobs (about 15 px
-across), composited by maximum so overlaps do not bloom, with optional
-intensity valleys stamped at the junctions.
+which are constructed to intersect at a steep angle. The placed rods are
+held in arrays of end points and bounding boxes, allocated once for all
+rods. A candidate rod is checked against them by a box prefilter, then by
+the exact segment distance to the rods whose box comes within the gap, so
+an attempt costs one numpy pass over the placed rods; 10,000 rods place in
+a few seconds.
+
+Nodes are sampled along each rod at a fixed spacing with Gaussian noise
+orthogonal to the rod axis. Images render each rod as a chain of
+anisotropic Gaussian blobs (about 15 px across), composited by maximum so
+overlaps do not bloom, with optional intensity valleys stamped at the
+junctions.
 
 All randomness comes from numpy's PCG64 generator seeded with ``spec.seed``,
 so outputs are reproducible bit for bit for a fixed spec.
@@ -147,103 +154,90 @@ def _in_bounds(points: np.ndarray, side: float) -> bool:
     return bool(points.min() >= _MARGIN and points.max() <= side - _MARGIN)
 
 
-def _keeps_gap(rod: tuple[np.ndarray, np.ndarray],
-               rods: list[tuple[np.ndarray, np.ndarray]],
-               gap: float, skip: int | None = None) -> bool:
-    """Whether ``rod`` stays at least ``gap`` from every rod but ``skip``.
+def _keeps_gap(rod: np.ndarray, ends: np.ndarray, boxes: np.ndarray, gap: float) -> bool:
+    """Whether ``rod``, a (2, dim) pair of end points, stays at least ``gap``
+    from every placed rod: ``ends`` holds their end points, (rods, 2, dim),
+    and ``boxes`` the low and the high corners of their bounding boxes,
+    (2, rods, dim).
 
     Two segments are no closer than their bounding boxes, so only the rods
     whose box comes within ``gap + _GAP_SLACK`` get the exact distance.
     """
-    if not rods:
-        return True
     p0, p1 = rod
-    ends = np.asarray(rods)  # (rods, 2, dim)
-    below = ends.min(axis=1) - np.maximum(p0, p1)
-    above = np.minimum(p0, p1) - ends.max(axis=1)
+    low, high = boxes
+    below = low - np.maximum(p0, p1)
+    above = np.minimum(p0, p1) - high
     box_gap = np.sqrt((np.maximum(np.maximum(below, above), 0.0) ** 2).sum(axis=1))
-    for other in np.flatnonzero(box_gap < gap + _GAP_SLACK).tolist():
-        if other == skip:
-            continue
-        q0, q1 = rods[other]
+    for q0, q1 in ends[box_gap < gap + _GAP_SLACK]:
         if segment_distance(p0, p1, q0, q1) < gap:
             return False
     return True
 
 
-def _sample_free_rod(spec: SynthSpec, rng: np.random.Generator, side: float,
-                     rods: list[tuple[np.ndarray, np.ndarray]]):
+def _sample_free_rod(spec: SynthSpec, rng: np.random.Generator, side: float) -> np.ndarray:
     length = rng.uniform(*spec.length_range)
     center = rng.uniform(_MARGIN, side - _MARGIN, size=spec.dim)
     axis = _random_direction(rng, spec.dim)
-    p0 = center - 0.5 * length * axis
-    p1 = center + 0.5 * length * axis
-    if _in_bounds(np.stack([p0, p1]), side) and _keeps_gap((p0, p1), rods, spec.min_rod_gap):
-        return p0, p1
-    return None
+    return np.stack([center - 0.5 * length * axis, center + 0.5 * length * axis])
 
 
-def _sample_partner(spec: SynthSpec, rng: np.random.Generator, side: float,
-                    rods: list[tuple[np.ndarray, np.ndarray]],
-                    base: tuple[np.ndarray, np.ndarray], base_index: int):
-    """A rod through the middle portion of ``base`` at a steep angle."""
+def _sample_partner(spec: SynthSpec, rng: np.random.Generator, side: float, base: np.ndarray,
+                    ends: np.ndarray, boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """A rod through the middle portion of ``base`` at a steep angle that
+    keeps the gap to the placed rods ``ends``, and the point where the two
+    cross; None when 100 draws all fail."""
     a0, a1 = base
     base_axis = _unit(a1 - a0)
-    cross = a0 + rng.uniform(0.35, 0.65) * (a1 - a0)
-    psi = np.radians(rng.uniform(*_CROSS_ANGLE))
-    axis = _unit(np.cos(psi) * base_axis + np.sin(psi) * _perp_direction(rng, base_axis))
-    length = rng.uniform(*spec.length_range)
-    p0 = cross - rng.uniform(0.35, 0.65) * length * axis
-    p1 = p0 + length * axis
-    rod = (p0, p1)
-    if _in_bounds(np.stack(rod), side) and _keeps_gap(rod, rods, spec.min_rod_gap, skip=base_index):
-        return rod, cross
+    for _ in range(100):
+        cross = a0 + rng.uniform(0.35, 0.65) * (a1 - a0)
+        psi = np.radians(rng.uniform(*_CROSS_ANGLE))
+        axis = _unit(np.cos(psi) * base_axis + np.sin(psi) * _perp_direction(rng, base_axis))
+        length = rng.uniform(*spec.length_range)
+        p0 = cross - rng.uniform(0.35, 0.65) * length * axis
+        rod = np.stack([p0, p0 + length * axis])
+        if _in_bounds(rod, side) and _keeps_gap(rod, ends, boxes, spec.min_rod_gap):
+            return rod, cross
     return None
 
 
-def _place_rods(spec: SynthSpec, rng: np.random.Generator) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[np.ndarray]]:
-    """Segments plus the junction point of every crossing pair.
+def _place_rods(spec: SynthSpec, rng: np.random.Generator) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The rods' end points, (n_rods, 2, dim), plus the junction point of
+    every crossing pair.
 
     Rods 2k and 2k+1 (k < crossings) are placed jointly so they intersect at
-    a steep angle; every other pair of rods keeps ``min_rod_gap``.
+    a steep angle; every other pair of rods keeps ``min_rod_gap``. Each
+    attempt draws one free rod, and for a crossing pair a partner through
+    it; a rod is checked against the rows of the rods placed before it.
     """
     side = canvas_side(spec)
-    rods: list[tuple[np.ndarray, np.ndarray]] = []
+    ends = np.empty((spec.n_rods, 2, spec.dim))
+    boxes = np.empty((2, spec.n_rods, spec.dim))
     junctions: list[np.ndarray] = []
-    idx = 0
-    while idx < spec.n_rods:
-        if idx % 2 == 0 and idx // 2 < spec.crossings:
-            for _ in range(_MAX_ATTEMPTS):
-                base = _sample_free_rod(spec, rng, side, rods)
-                if base is None:
-                    continue
-                for _ in range(100):
-                    cand = _sample_partner(spec, rng, side, rods, base, len(rods))
-                    if cand is not None:
-                        break
-                else:
-                    continue  # crowded base; draw a fresh one
-                partner, cross = cand
-                rods.extend([base, partner])
-                junctions.append(cross)
-                break
-            else:
-                raise SynthesisError(
-                    f"could not place crossing pair {idx // 2} after {_MAX_ATTEMPTS} "
-                    "attempts; lower nRods or minRodGap")
-            idx += 2
-        else:
-            for _ in range(_MAX_ATTEMPTS):
-                rod = _sample_free_rod(spec, rng, side, rods)
-                if rod is not None:
-                    rods.append(rod)
-                    break
-            else:
-                raise SynthesisError(
-                    f"could not place rod {idx} after {_MAX_ATTEMPTS} attempts; "
-                    "lower nRods or minRodGap")
-            idx += 1
-    return rods, junctions
+    k = attempts = 0
+    while k < spec.n_rods:
+        pair = k < 2 * spec.crossings
+        if attempts == _MAX_ATTEMPTS:
+            what = f"crossing pair {k // 2}" if pair else f"rod {k}"
+            raise SynthesisError(f"could not place {what} after {_MAX_ATTEMPTS} attempts; "
+                                 "lower nRods or minRodGap")
+        attempts += 1
+        placed = ends[:k], boxes[:, :k]
+        base = _sample_free_rod(spec, rng, side)
+        if not (_in_bounds(base, side) and _keeps_gap(base, *placed, spec.min_rod_gap)):
+            continue
+        new = [base]
+        if pair:
+            partner = _sample_partner(spec, rng, side, base, *placed)
+            if partner is None:
+                continue  # crowded base; draw a fresh one
+            new.append(partner[0])
+            junctions.append(partner[1])
+        for rod in new:
+            ends[k] = rod
+            boxes[:, k] = rod.min(axis=0), rod.max(axis=0)
+            k += 1
+        attempts = 0
+    return ends, junctions
 
 
 def _rod_samples(p0: np.ndarray, p1: np.ndarray, spacing: float) -> np.ndarray:

@@ -379,12 +379,10 @@ def match_dense(pred: list[set[int]], truth: list[set[int]]) -> list[tuple[int, 
     return matches
 
 
-def keeps_gap(rod, rods, gap: float, skip: int | None = None) -> bool:
+def keeps_gap(rod, rods, gap: float) -> bool:
     """``lcuts.synth._keeps_gap`` with one exact segment distance per placed rod."""
     p0, p1 = rod
-    for other, (q0, q1) in enumerate(rods):
-        if other == skip:
-            continue
+    for q0, q1 in rods:
         if segment_distance(p0, p1, q0, q1) < gap:
             return False
     return True

@@ -46,6 +46,23 @@ def test_synth_outputs(tmp_path):
     assert not (tmp_path / "vol.pgm").exists()
 
 
+@pytest.mark.parametrize("dim, extra, message", [
+    (2, {}, "could not place rod 0 after 1 attempts"),
+    (2, {"crossings": 1}, "could not place crossing pair 0 after 1 attempts"),
+    (3, {"crossings": 1}, "could not place crossing pair 0 after 1 attempts"),
+])
+def test_synth_that_cannot_place_a_rod_exits_1(tmp_path, monkeypatch, capsys, dim, extra, message):
+    from lcuts import synth
+
+    monkeypatch.setattr(synth, "_MAX_ATTEMPTS", 1)
+    monkeypatch.setattr(synth, "_in_bounds", lambda rod, side: False)
+    spec = tmp_path / "spec.cfg"
+    write_spec(spec, dim=dim, nRods=4, seed=3, **extra)
+    assert cli.main(["--quiet", "synth", str(spec), str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == f"error: {message}; lower nRods or minRodGap\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.cfg"]
+
+
 def test_synth_deterministic_bytes(tmp_path):
     spec = tmp_path / "spec.cfg"
     write_spec(spec, dim=2, nRods=5, seed=17)

@@ -133,19 +133,27 @@ def test_pairwise_distance():
 
 
 def test_node_validation():
-    with pytest.raises(InputError):
-        Node(id=0, loc=np.array([1.0, 2.0]), intensity=1.5)
-    with pytest.raises(InputError):
-        Node(id=0, loc=np.array([np.inf, 0.0]))
-    with pytest.raises(DimensionMismatchError):
-        Node(id=0, loc=np.array([1.0, 2.0]), dir=np.array([1.0, 0.0, 0.0]))
-    with pytest.raises(InputError):
-        Node(id=0, loc=np.array([1.0, 2.0]), dir=np.array([1.0, 1.0]))
+    # A record is checked only in the cloud built from it, by the cloud's
+    # one validator, with the same errors a record once raised on its own.
+    def cloud(**fields):
+        return PointCloud([Node(id=0, **fields)], len(fields["loc"]))
+
+    Node(id=0, loc=np.array([1.0, 2.0]), intensity=1.5)  # a plain record
+    with pytest.raises(InputError, match=r"^node 0: intensity 1.5 outside \[0, 1\]$"):
+        cloud(loc=np.array([1.0, 2.0]), intensity=1.5)
+    with pytest.raises(InputError, match="^node 0: non-finite location$"):
+        cloud(loc=np.array([np.inf, 0.0]))
+    with pytest.raises(DimensionMismatchError, match="^node 0: dir/loc dimension mismatch$"):
+        cloud(loc=np.array([1.0, 2.0]), dir=np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(InputError, match="^node 0: dir is not unit length$"):
+        cloud(loc=np.array([1.0, 2.0]), dir=np.array([1.0, 1.0]))
+    with pytest.raises(DimensionMismatchError, match="^node 0: loc must be a 2- or 3-vector$"):
+        PointCloud([Node(id=0, loc=np.zeros(4))], 3)
     # coordinates up to 2**53 in magnitude, and no further
-    Node(id=0, loc=np.array([MAX_COORD, -MAX_COORD, 0.0]))
+    cloud(loc=np.array([MAX_COORD, -MAX_COORD, 0.0]))
     for far in (np.nextafter(MAX_COORD, np.inf), -np.nextafter(MAX_COORD, np.inf)):
         with pytest.raises(InputError, match=r"beyond \+-2\*\*53"):
-            Node(id=0, loc=np.array([0.0, far]))
+            cloud(loc=np.array([0.0, far]))
 
 
 def test_cloud_validation():

@@ -84,7 +84,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         cloud = PointCloud.from_arrays(locs, intensities, image=cloud.image)
     result = lcuts(cloud, cfg.graph, cfg.voting, cfg.limits)
     if args.dump_adjacency:
-        write_adjacency_csv(args.dump_adjacency, result.graph)
+        write_adjacency_csv(args.dump_adjacency, result.work_graph, np.argsort(result.rank))
     Path(args.out).write_text(_result_json(result, cloud, cfg), encoding="utf-8")
     if not args.quiet:
         log.info("clustered %d nodes into %d groups (%d outliers)",

@@ -115,12 +115,6 @@ class ClusterResult:
     work_graph: SparseGraph            # the affinity matrix the clustering used, working order
     rank: np.ndarray                   # caller id -> row of work_graph
 
-    @property
-    def graph(self) -> SparseGraph:
-        """The affinity matrix the clustering used, in the caller's node
-        order. Each read builds a new permuted sparse copy."""
-        return self.work_graph.permuted(np.argsort(self.rank))
-
     def group_sets(self) -> list[set[int]]:
         return [set(g) for g in self.groups]
 
@@ -181,8 +175,8 @@ def lcuts(cloud: PointCloud, gparams: GraphParams | None = None,
     limits = limits or StoppingLimits()
 
     if len(cloud) == 0:
-        return ClusterResult([], [], [], [], None, SparseGraph(np.zeros((0, 0))),
-                             np.zeros(0, dtype=np.int64))
+        empty = np.zeros(0, dtype=np.int64)
+        return ClusterResult([], [], [], [], None, SparseGraph(0, empty, empty, np.zeros(0)), empty)
 
     # Work in location-sorted order: ties and rounding then resolve the same
     # way no matter how the caller happened to label the nodes.
@@ -190,8 +184,9 @@ def lcuts(cloud: PointCloud, gparams: GraphParams | None = None,
     work = PointCloud.from_arrays(cloud.locs()[order], cloud.intensities()[order], image=cloud.image)
 
     work = assign_all_directions(work, vparams)
-    # The intensity factor of the adjacency is active whenever an image is
-    # bound; the check_intensity flag only gates the stopping test.
+    # The one decision on the intensity factor: the adjacency and the stop
+    # test use it whenever an image is bound and every node carries an
+    # intensity; the check_intensity flag only gates the stop test.
     thresh: float | None = None
     if work.image is not None and work.has_all_intensities():
         thresh = intensity_threshold(work)

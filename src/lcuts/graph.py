@@ -7,8 +7,9 @@ The affinity between two nodes is the product of three terms:
   w_intensity = m when m <= thresh else 1, m = min intensity sampled on the
                 straight segment between the nodes
 
-A missing direction on either endpoint, or a missing image, turns the
-corresponding factor into 1. The intensity threshold is the midrange of the
+A missing direction on either endpoint turns the direction factor into 1,
+and no threshold the intensity factor. ``lcuts`` passes the threshold when
+an image is bound and every node carries an intensity: the midrange of the
 node intensities minus their population variance.
 
 Only pairs within ``r`` can have a nonzero weight, so ``build_adjacency``
@@ -70,32 +71,24 @@ class SparseGraph:
     its node count ``n`` and its nonzero entries, each pair listed both
     ways, as one row-major edge list (see ``edges``).
 
-    The constructor takes a caller's dense matrix and checks it once;
-    ``build_adjacency`` and ``permuted`` make valid edge lists, so they skip
-    the checks.
+    ``SparseGraph(n, rows, cols, weights)`` holds entry ``weights[k]`` at
+    ``(rows[k], cols[k])``, with the zeros dropped, sorted row-major. It
+    checks nothing: the positions must be distinct and off the diagonal, the
+    entries in [0, 1], and the pattern symmetric, as ``build_adjacency``
+    makes them.
     """
 
-    def __init__(self, weights) -> None:
-        if not isinstance(weights, np.ndarray):
-            raise InputError(f"weights must be a dense array, got {type(weights).__name__}")
-        w = np.asarray(weights, dtype=np.float64)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise InputError("weights must be a square matrix")
-        # Written as "not 0 <= x <= 1" so that NaN fails too.
-        if not ((w >= 0.0) & (w <= 1.0)).all():
-            raise InputError("weights must lie in [0, 1]")
-        if (w != w.T).any():
-            raise InputError("weights must be exactly symmetric")
-        if np.diagonal(w).any():
-            raise InputError("self-weights must be zero")
-        rows, cols = np.nonzero(w)
-        self._hold(len(w), rows, cols, w[rows, cols])
-
-    def _hold(self, n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> "SparseGraph":
-        for arr in (rows, cols, vals):
+    def __init__(self, n: int, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> None:
+        # One key per position, row-major; the keys are distinct, so any sort
+        # gives the (row, column) order. The zeros are dropped from that
+        # order, not before it: the call holds the caller's arrays until it
+        # returns, so filtered copies would only add to the peak.
+        order = np.argsort(rows.astype(np.int64) * n + cols)
+        order = order[weights[order] != 0.0]
+        self.n, self._edges = n, (rows[order].astype(np.int64, copy=False),
+                                  cols[order].astype(np.int64, copy=False), weights[order])
+        for arr in self._edges:
             arr.flags.writeable = False
-        self.n, self._edges = n, (rows, cols, vals)
-        return self
 
     @property
     def weights(self) -> np.ndarray:
@@ -111,23 +104,6 @@ class SparseGraph:
         float64 arrays in row-major order, so every pair twice, once each
         way. They are the graph's own arrays, read-only, not copies."""
         return self._edges
-
-    def permuted(self, new_id: np.ndarray) -> "SparseGraph":
-        """The same graph with node ``i`` renamed ``new_id[i]``, a permutation."""
-        rows, cols, vals = self._edges
-        return _canonical(self.n, new_id[rows], new_id[cols], vals)
-
-
-def _canonical(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> SparseGraph:
-    """The ``SparseGraph`` with entry ``vals[k]`` at ``(rows[k], cols[k])``.
-    The positions must be distinct and off the diagonal, the entries in
-    [0, 1], and the pattern symmetric; the zeros are dropped here."""
-    nonzero = vals != 0.0
-    rows, cols, vals = rows[nonzero].astype(np.int64), cols[nonzero].astype(np.int64), vals[nonzero]
-    # One key per position, row-major; the keys are distinct, so any sort
-    # gives the (row, column) order.
-    order = np.argsort(rows * n + cols)
-    return SparseGraph.__new__(SparseGraph)._hold(n, rows[order], cols[order], vals[order])
 
 
 def intensity_threshold(cloud: PointCloud) -> float:
@@ -179,10 +155,11 @@ def build_adjacency(cloud: PointCloud, params: GraphParams,
                     thresh: float | None = None) -> SparseGraph:
     """Sparse affinity matrix over the cloud.
 
-    The intensity factor participates only when an image is bound and every
-    node carries an intensity; ``thresh`` can be passed to reuse a value
-    computed elsewhere, otherwise it is derived here.
+    The intensity factor applies exactly when ``thresh`` is given, and then
+    needs the cloud's bound image; ``lcuts`` decides whether to pass one.
     """
+    if thresh is not None and cloud.image is None:
+        raise MissingDataError("the intensity factor needs an image bound to the cloud")
     n = len(cloud)
     locs = cloud.locs()
     ii, jj, d2 = radius_pairs(locs, params.r)
@@ -203,9 +180,7 @@ def build_adjacency(cloud: PointCloud, params: GraphParams,
     wt_raw = np.exp(-((cos - 1.0) ** 2) / params.sigma_t ** 2)
     wt = np.where(present[ii] & present[jj], wt_raw, 1.0)
 
-    if cloud.image is not None and cloud.has_all_intensities():
-        if thresh is None:
-            thresh = intensity_threshold(cloud)
+    if thresh is not None:
         m = segment_min_intensity(cloud.image, locs[ii], locs[jj], params.intensity_sampling_step)
         wi = np.where(m <= thresh, m, 1.0)
     else:
@@ -214,15 +189,17 @@ def build_adjacency(cloud: PointCloud, params: GraphParams,
     # Symmetric with a zero diagonal (pairs have i < j) and in [0, 1], since
     # each factor is, so it is not checked again.
     w = wd * wt * wi
-    return _canonical(n, np.concatenate((ii, jj)), np.concatenate((jj, ii)), np.concatenate((w, w)))
+    return SparseGraph(n, np.concatenate((ii, jj)), np.concatenate((jj, ii)), np.concatenate((w, w)))
 
 
-def write_adjacency_csv(path: str | Path, graph: SparseGraph) -> None:
-    """Dump the matrix as an edge list: the header ``i,j,w``, then one line
-    ``i,j,w`` per stored pair with ``i < j``, in row-major order, with the
-    weight at full float precision."""
+def write_adjacency_csv(path: str | Path, graph: SparseGraph, names: np.ndarray) -> None:
+    """Dump the matrix as an edge list under the node names ``names[k]`` of
+    its rows, a permutation: the header ``i,j,w``, then one line ``i,j,w``
+    per stored pair with ``i < j`` in names, in row-major order of the
+    names, with the weight at full float precision."""
     rows, cols, vals = graph.edges()
-    upper = rows < cols
-    lines = map("{},{},{!r}\n".format, rows[upper].tolist(), cols[upper].tolist(),
-                vals[upper].tolist())
+    i, j = names[rows], names[cols]
+    upper = np.flatnonzero(i < j)
+    upper = upper[np.argsort(i[upper] * graph.n + j[upper])]
+    lines = map("{},{},{!r}\n".format, i[upper].tolist(), j[upper].tolist(), vals[upper].tolist())
     Path(path).write_text("i,j,w\n" + "".join(lines), encoding="utf-8")

@@ -19,7 +19,7 @@ from lcuts.direction import VotingParams, _hop_reach
 from lcuts.engine import Decision, StopCheck, StoppingLimits
 from lcuts.errors import DegenerateInputError, DimensionMismatchError, InputError, MissingDataError
 from lcuts.geometry import PointCloud, fit_line
-from lcuts.graph import GraphParams
+from lcuts.graph import GraphParams, SparseGraph, build_adjacency, intensity_threshold
 from lcuts.raster import RasterImage, bilinear_sample
 from lcuts.spectral import WEAK_LINK, Bipartition, smallest_eigenpairs
 from lcuts.synth import segment_distance
@@ -409,6 +409,20 @@ def block_edges(graph, ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if (np.diff(ids) < 0).any():
         keep = keep[np.argsort(rows[keep] * len(ids) + cols[keep])]
     return rows[keep], cols[keep], data[slots[keep]]
+
+
+def sparse_graph(w: np.ndarray) -> SparseGraph:
+    """The ``SparseGraph`` of a dense symmetric matrix with a zero diagonal
+    and entries in [0, 1], from its nonzero entries in row-major order."""
+    rows, cols = np.nonzero(w)
+    return SparseGraph(len(w), rows, cols, w[rows, cols])
+
+
+def adjacency(cloud: PointCloud, params: GraphParams = GraphParams()) -> SparseGraph:
+    """``build_adjacency`` with the intensity factor exactly where
+    ``lcuts()`` applies it: an image bound and an intensity on every node."""
+    use = cloud.image is not None and cloud.has_all_intensities()
+    return build_adjacency(cloud, params, thresh=intensity_threshold(cloud) if use else None)
 
 
 def canonical_csr(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):

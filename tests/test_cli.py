@@ -119,28 +119,41 @@ def test_cluster_config_echo(tmp_path):
     assert params["r"] == 60.0  # untouched default still echoed
 
 
-def test_cluster_dump_adjacency(tmp_path):
+def clustered_upper_triangle(cloud):
+    """The pairs ``i < j`` of the matrix ``lcuts`` clustered, in caller ids
+    and row-major order, with their weights: the dense scatter of its
+    working graph, taken through ``rank``."""
     from lcuts.engine import lcuts
+
+    res = lcuts(cloud)
+    w = res.work_graph.weights[np.ix_(res.rank, res.rank)]
+    i, j = np.nonzero(np.triu(w, 1))
+    return i, j, w[i, j]
+
+
+def test_cluster_dump_adjacency(tmp_path):
     from lcuts.geometry import read_cloud_csv
 
     spec = tmp_path / "spec.cfg"
     write_spec(spec, dim=2, nRods=2, seed=8)
     run_cli("synth", spec, tmp_path / "two")
+    # Rows in a seeded shuffle, so the caller's ids are far from the
+    # location-sorted working order.
+    header, rows = csv_rows(tmp_path / "two.csv")
+    shuffled = [rows[k] for k in np.random.default_rng(5).permutation(len(rows))]
+    (tmp_path / "shuffled.csv").write_text("\n".join([header, *shuffled]) + "\n")
     res = run_cli("--quiet", "--dump-adjacency", tmp_path / "w.csv",
-                  "cluster", tmp_path / "two.csv", tmp_path / "out.json")
+                  "cluster", tmp_path / "shuffled.csv", tmp_path / "out.json")
     assert res.returncode == 0
-    # One line per stored pair with i < j, in caller ids, as graph.edges() lists them.
     i, j, w = read_edge_list(tmp_path / "w.csv")
-    cloud, _ = read_cloud_csv(tmp_path / "two.csv")
-    rows, cols, vals = lcuts(cloud).graph.edges()
-    upper = rows < cols
-    assert np.array_equal(i, rows[upper]) and np.array_equal(j, cols[upper])
-    assert w.tobytes() == vals[upper].tobytes()
+    cloud, _ = read_cloud_csv(tmp_path / "shuffled.csv")
+    want_i, want_j, want_w = clustered_upper_triangle(cloud)
+    assert len(i) > 0 and np.array_equal(i, want_i) and np.array_equal(j, want_j)
+    assert w.tobytes() == want_w.tobytes()
     assert j.max() < json.loads((tmp_path / "out.json").read_text())["n"]
 
 
 def test_dump_adjacency_is_the_clustered_matrix(tmp_path):
-    from lcuts.engine import lcuts
     from lcuts.geometry import read_cloud_csv
     from lcuts.raster import read_image
 
@@ -152,11 +165,10 @@ def test_dump_adjacency_is_the_clustered_matrix(tmp_path):
                   tmp_path / "found.csv", tmp_path / "out.json", "--image", tmp_path / "img.pgm")
     assert res.returncode == 0
     cloud, _ = read_cloud_csv(tmp_path / "found.csv")
-    rows, cols, vals = lcuts(cloud.with_image(read_image(tmp_path / "img.pgm"))).graph.edges()
-    upper = rows < cols
+    want_i, want_j, want_w = clustered_upper_triangle(cloud.with_image(read_image(tmp_path / "img.pgm")))
     i, j, w = read_edge_list(tmp_path / "w.csv")
-    assert np.array_equal(i, rows[upper]) and np.array_equal(j, cols[upper])
-    assert w.tobytes() == vals[upper].tobytes()
+    assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+    assert w.tobytes() == want_w.tobytes()
 
 
 def test_cluster_refuses_an_oversized_block(tmp_path, monkeypatch, capsys):

@@ -173,6 +173,7 @@ def test_lcuts_empty_and_singleton():
     empty = PointCloud([], 2)
     res = lcuts(empty)
     assert res.groups == [] and res.outliers == [] and res.tree is None
+    assert res.work_graph.n == 0 and res.rank.size == 0
     single = make_cloud([(3.0, 4.0)])
     res = lcuts(single)
     assert res.groups == [] and res.outliers == [0]
@@ -183,7 +184,7 @@ def test_lcuts_strips_node_with_only_weak_links():
     # WEAK_LINK, so it is dead although its row is not zero
     cloud = make_cloud([(5.0 * i, 0.0) for i in range(8)] + [(90.0, 0.0)])
     res = lcuts(cloud)
-    assert 0.0 < res.graph.weights[8].max() < WEAK_LINK
+    assert 0.0 < res.work_graph.weights[res.rank[8]].max() < WEAK_LINK
     assert res.groups == [list(range(8))]
     assert res.outliers == [8]
     assert res.tree.decision == "strip" and res.tree.stripped == [8]
@@ -405,7 +406,7 @@ def assert_matches_reference(cloud):
     assert res.groups == groups
     assert res.outliers == outliers
     assert res.forced == forced
-    assert np.array_equal(res.graph.weights, w)
+    assert np.array_equal(res.work_graph.weights[np.ix_(res.rank, res.rank)], w)
 
 
 def test_recursion_matches_reference_on_fuzz_corpus():

@@ -6,9 +6,10 @@ import pytest
 from lcuts.config import Config, parse_kv, read_synth_spec
 from lcuts.errors import InputError
 from lcuts.geometry import Node, PointCloud, read_cloud_csv, write_cloud_csv
-from lcuts.graph import GraphParams, SparseGraph, build_adjacency, write_adjacency_csv
+from lcuts.graph import GraphParams, build_adjacency, write_adjacency_csv
 from lcuts.raster import RasterImage, read_csv_grid, read_image, read_pgm, write_pgm
 from lcuts.synth import SynthSpec, generate_cloud
+from oracles import sparse_graph
 
 
 def test_pgm_roundtrip_16bit(tmp_path):
@@ -215,12 +216,13 @@ def read_edge_list(path):
 
 
 def test_adjacency_csv_exact(tmp_path):
-    # One line per stored pair with i < j, in the order of graph.edges().
+    # One line per stored pair with i < j, in the order of graph.edges(),
+    # when each row is named by its own index.
     spec = SynthSpec(dim=2, n_rods=3, seed=21)
     cloud, _ = generate_cloud(spec)
     graph = build_adjacency(cloud, GraphParams())
     path = tmp_path / "w.csv"
-    write_adjacency_csv(path, graph)
+    write_adjacency_csv(path, graph, np.arange(graph.n))
     i, j, w = read_edge_list(path)
     rows, cols, vals = graph.edges()
     upper = rows < cols
@@ -230,17 +232,21 @@ def test_adjacency_csv_exact(tmp_path):
 
 
 def test_adjacency_csv_bytes(tmp_path):
-    # The header, then "i,j,w" with the weight by repr, row-major; an empty
-    # or single-node graph writes the header alone.
+    # The header, then "i,j,w" with the weight by repr, row-major in the
+    # names of the rows; an empty or single-node graph writes the header
+    # alone.
     rng = np.random.default_rng(8)
     for n in (0, 1, 2, 7):
         w = np.triu(rng.uniform(0.0, 1.0, size=(n, n)) ** 9, 1)
         w[rng.random((n, n)) < 0.3] = 0.0
         w = w + w.T
+        names = rng.permutation(n)
+        named = np.zeros((n, n))
+        named[np.ix_(names, names)] = w
         path = tmp_path / f"w{n}.csv"
-        write_adjacency_csv(path, SparseGraph(w))
-        text = "i,j,w\n" + "".join(f"{i},{j},{float(w[i, j])!r}\n" for i in range(n)
-                                   for j in range(i + 1, n) if w[i, j])
+        write_adjacency_csv(path, sparse_graph(w), names)
+        text = "i,j,w\n" + "".join(f"{i},{j},{float(named[i, j])!r}\n" for i in range(n)
+                                   for j in range(i + 1, n) if named[i, j])
         assert path.read_bytes() == text.encode("utf-8")
 
 

@@ -8,7 +8,6 @@ from scipy import sparse
 from lcuts import spectral
 from lcuts.direction import VotingParams, assign_all_directions
 from lcuts.errors import DegenerateInputError, InputError, LcutsError
-from lcuts.graph import GraphParams, build_adjacency
 from lcuts.spectral import WEAK_LINK, component_arrays, ncut_bipartition, smallest_eigenpairs
 import oracles
 from oracles import ncut_value
@@ -224,7 +223,7 @@ def test_components_match_oracle_on_fuzz_corpus():
         if len(cloud) == 0:
             continue
         cloud = assign_all_directions(cloud, VotingParams())
-        assert_components_match_oracle(build_adjacency(cloud, GraphParams()).weights)
+        assert_components_match_oracle(oracles.adjacency(cloud).weights)
 
 
 def test_components_match_oracle_across_weak_link():

@@ -37,6 +37,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -144,8 +145,6 @@ def main() -> None:
         name, directory = args.input
         print(json.dumps(run_input(name, Path(directory))))
         return
-    import tempfile
-
     with tempfile.TemporaryDirectory() as tmp:
         manifest = {"build": build(), "digests": digests(Path(tmp))}
     MANIFEST.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
